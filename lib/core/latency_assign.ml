@@ -51,11 +51,20 @@ let optimistic_latencies cfg ddg ~mode =
   Array.init (Ddg.n_ops ddg) (fun i ->
       if is_load ddg i then bottom else Ddg.default_latency ddg i)
 
-let target_mii cfg ddg ~mode =
-  let lat = optimistic_latencies cfg ddg ~mode in
-  Resources.mii cfg ddg ~latency:(fun i -> lat.(i))
-
 let solve_with solver latencies = Mii.solve solver ~latency:(fun i -> latencies.(i))
+
+let recurrence_solvers ddg =
+  List.map (fun nodes -> (Mii.solver ddg ~nodes, nodes)) (Scc.recurrences ddg)
+
+(* The loop MII at the optimistic latencies, from the recurrences'
+   solvers ([assign] reuses its own rather than building them twice). *)
+let target_with cfg ddg ~mode solvers =
+  let optimistic = optimistic_latencies cfg ddg ~mode in
+  List.fold_left
+    (fun acc (solver, _) -> max acc (solve_with solver optimistic))
+    (Resources.res_mii cfg ddg) solvers
+
+let target_mii cfg ddg ~mode = target_with cfg ddg ~mode (recurrence_solvers ddg)
 
 let benefit cfg ddg ~mode ~profile ~latencies ~recurrence ~op ~to_lat =
   let solver = Mii.solver ddg ~nodes:recurrence in
@@ -110,11 +119,11 @@ let restore_slack ddg ~solver latencies ~recurrence ~op ~target =
 let assign cfg ddg ~mode ~profile =
   let ladder = levels cfg mode in
   let latencies = initial_latencies cfg ddg ~mode in
-  let target = target_mii cfg ddg ~mode in
+  let solvers = recurrence_solvers ddg in
+  let target = target_with cfg ddg ~mode solvers in
   let recurrences =
-    Scc.recurrences ddg
-    |> List.map (fun nodes ->
-           let solver = Mii.solver ddg ~nodes in
+    solvers
+    |> List.map (fun (solver, nodes) ->
            (solve_with solver latencies, solver, nodes))
     |> List.sort (fun (a, _, na) (b, _, nb) ->
            if a <> b then compare b a

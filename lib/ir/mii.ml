@@ -1,12 +1,12 @@
 exception Infeasible
 
-(* A captured recurrence: node ids remapped to a dense [0, n) range and
-   the induced edges stored flat, so feasibility checks allocate nothing
-   beyond one distance array. *)
 (* One simple cycle of the recurrence: the operations whose (variable)
    latency its edges use, plus the fixed latency and distance sums. *)
 type cycle = { c_ops : int array; c_fixed : int; c_dist : int }
 
+(* A captured recurrence: node ids remapped to a dense [0, n) range and
+   the induced edges stored flat, with scratch arrays reused by every
+   longest-path run (latency assignment makes hundreds per solver). *)
 type solver = {
   n : int;
   nodes : int array;  (** dense index -> original id *)
@@ -16,86 +16,16 @@ type solver = {
                             uses (Reg_flow), or -1 for fixed latency *)
   fixed : int array;  (** fixed component of the edge latency *)
   dists : int array;
-  dist : int array;
-      (** relaxation scratch — latency assignment runs hundreds of
-          feasibility probes per solver, so the distance array is reused
-          rather than allocated per probe (a solver is only ever used
-          from one domain) *)
-  cycles : cycle array option;
-      (** the recurrence's simple cycles, when enumeration stayed within
-          budget: II queries then reduce to a max of cycle ratios
-          instead of a Bellman–Ford binary search *)
+  dist : int array;  (** longest-path scratch *)
+  pred : int array;  (** edge that last improved each node, or -1 *)
+  mark : int array;  (** pred-graph walk scratch *)
+  mutable witnesses : cycle list;
+      (** positive cycles found by earlier runs, newest first, at most
+          [max_witnesses]: each proves a lower bound on the II under any
+          latencies, so [solve] starts its climb from the best of them *)
 }
 
-(* Simple-cycle enumeration (Tiernan-style: each cycle is discovered
-   from its minimal dense node).  Dependence recurrences are small and
-   sparse, so the cycle count is tiny in practice; the work budget
-   guards the exponential worst case — on overrun the solver just keeps
-   the Bellman–Ford path.  A latency-assignment run evaluates hundreds
-   of latency vectors against one recurrence, and II = max over cycles
-   of ceil(lat(c)/dist(c)) turns each of those queries into a few dozen
-   integer ops. *)
-let max_cycles = 512
-let work_budget = 1 lsl 16
-
-exception Budget
-
-let enumerate_cycles ~n ~srcs ~dsts ~lat_ops ~fixed ~dists =
-  let m = Array.length srcs in
-  if n = 0 || m = 0 then Some [||]
-  else begin
-    let out = Array.make n [] in
-    for i = m - 1 downto 0 do
-      out.(srcs.(i)) <- i :: out.(srcs.(i))
-    done;
-    let cycles = ref [] and count = ref 0 and work = ref 0 in
-    let on_path = Array.make n false in
-    let path = ref [] in
-    (* edge indices of the current path, innermost first *)
-    try
-      for s = 0 to n - 1 do
-        let rec dfs v =
-          incr work;
-          if !work > work_budget then raise Budget;
-          List.iter
-            (fun i ->
-              let w = dsts.(i) in
-              if w = s then begin
-                let es = i :: !path in
-                let ops =
-                  List.filter_map
-                    (fun e -> if lat_ops.(e) >= 0 then Some lat_ops.(e) else None)
-                    es
-                in
-                let fx = List.fold_left (fun acc e -> acc + fixed.(e)) 0 es in
-                let d = List.fold_left (fun acc e -> acc + dists.(e)) 0 es in
-                incr count;
-                if !count > max_cycles then raise Budget;
-                cycles :=
-                  { c_ops = Array.of_list ops; c_fixed = fx; c_dist = d }
-                  :: !cycles
-              end
-              else if w > s && not on_path.(w) then begin
-                on_path.(w) <- true;
-                path := i :: !path;
-                dfs w;
-                path := List.tl !path;
-                on_path.(w) <- false
-              end)
-            out.(v)
-        in
-        on_path.(s) <- true;
-        dfs s;
-        on_path.(s) <- false
-      done;
-      Some (Array.of_list !cycles)
-    with Budget -> None
-  end
-
-let cycle_lat c ~latency =
-  let l = ref c.c_fixed in
-  Array.iter (fun op -> l := !l + latency op) c.c_ops;
-  !l
+let max_witnesses = 16
 
 let solver ddg ~nodes =
   let node_arr = Array.of_list nodes in
@@ -126,81 +56,134 @@ let solver ddg ~nodes =
       | Edge.Mem_unresolved ->
           fixed.(i) <- 1)
     edges;
-  let cycles = enumerate_cycles ~n ~srcs ~dsts ~lat_ops ~fixed ~dists in
+  let scratch () = Array.make (max 1 n) 0 in
   { n; nodes = node_arr; srcs; dsts; lat_ops; fixed; dists;
-    dist = Array.make (max 1 n) 0; cycles }
+    dist = scratch (); pred = scratch (); mark = scratch (); witnesses = [] }
 
-(* A positive non-simple cycle always contains a positive simple cycle
-   (cycle weights are additive over the decomposition), so checking the
-   enumerated simple cycles is exactly the Bellman–Ford positive-cycle
-   test. *)
+let edge_lat s ~latency i =
+  if s.lat_ops.(i) >= 0 then latency s.lat_ops.(i) else s.fixed.(i)
+
+let cycle_lat c ~latency =
+  let l = ref c.c_fixed in
+  Array.iter (fun op -> l := !l + latency op) c.c_ops;
+  !l
+
+(* The cycle through dense node [v] in the pred graph, read off the
+   pred edges. *)
+let cycle_through s v =
+  let rec walk u ops fx d =
+    let e = s.pred.(u) in
+    let ops = if s.lat_ops.(e) >= 0 then s.lat_ops.(e) :: ops else ops in
+    let fx = fx + s.fixed.(e) and d = d + s.dists.(e) in
+    let u = s.srcs.(e) in
+    if u = v then { c_ops = Array.of_list ops; c_fixed = fx; c_dist = d }
+    else walk u ops fx d
+  in
+  walk v [] 0 0
+
+(* A cycle of the pred graph, if any: walk pred edges from each
+   unvisited node, stamping the walk's nodes with its start; meeting the
+   current stamp again closes a cycle. *)
+let pred_cycle s =
+  Array.fill s.mark 0 s.n (-1);
+  let rec walk start v =
+    if s.mark.(v) = start then Some v
+    else if s.mark.(v) >= 0 || s.pred.(v) < 0 then None
+    else begin
+      s.mark.(v) <- start;
+      walk start s.srcs.(s.pred.(v))
+    end
+  in
+  let rec from start =
+    if start >= s.n then None
+    else
+      match walk start start with
+      | Some v -> Some (cycle_through s v)
+      | None -> from (start + 1)
+  in
+  from 0
+
+type outcome = Converged | Witness of cycle | Diverged
+
+(* Bellman–Ford longest paths at [ii] from an implicit source joined to
+   every node.  A cycle in the graph of last-improving edges always has
+   positive weight: when its closing edge was relaxed, every other edge
+   of it satisfied dist(dst) <= dist(src) + w (sources only grow), and
+   the closing one held strictly.  So each round with changes checks the
+   pred graph, and the run ends as soon as it either converges (no
+   positive cycle: [ii] is feasible) or exhibits one.  The witness is
+   re-checked against [ii]; without one, still changing after n+1
+   rounds proves a positive cycle all the same ([Diverged]). *)
+let longest_paths s ~latency ~ii =
+  Array.fill s.dist 0 s.n 0;
+  Array.fill s.pred 0 s.n (-1);
+  let m = Array.length s.srcs in
+  let rec round r =
+    let changed = ref false in
+    for i = 0 to m - 1 do
+      let cand = s.dist.(s.srcs.(i)) + edge_lat s ~latency i - (ii * s.dists.(i)) in
+      if cand > s.dist.(s.dsts.(i)) then begin
+        s.dist.(s.dsts.(i)) <- cand;
+        s.pred.(s.dsts.(i)) <- i;
+        changed := true
+      end
+    done;
+    if not !changed then Converged
+    else
+      match pred_cycle s with
+      | Some c when cycle_lat c ~latency > ii * c.c_dist -> Witness c
+      | Some _ | None -> if r > s.n then Diverged else round (r + 1)
+  in
+  round 1
+
+let remember s c =
+  s.witnesses <- c :: List.filteri (fun i _ -> i < max_witnesses - 1) s.witnesses
+
+(* The least II a witness cycle allows under [latency]: ceil(lat/dist),
+   or [Infeasible] for a zero-distance positive cycle (no II can pay for
+   it). *)
+let cycle_ii c ~latency =
+  let lat = cycle_lat c ~latency in
+  if c.c_dist > 0 then (lat + c.c_dist - 1) / c.c_dist
+  else if lat > 0 then raise Infeasible
+  else 1
+
 let solve_feasible s ~latency ~ii =
-  match s.cycles with
-  | Some cs ->
-      Array.for_all (fun c -> cycle_lat c ~latency <= ii * c.c_dist) cs
-  | None ->
-      let dist = s.dist in
-      Array.fill dist 0 s.n 0;
-      let m = Array.length s.srcs in
-      let changed = ref true and rounds = ref 0 in
-      while !changed && !rounds <= s.n do
-        changed := false;
-        incr rounds;
-        for i = 0 to m - 1 do
-          let lat =
-            if s.lat_ops.(i) >= 0 then latency s.lat_ops.(i) else s.fixed.(i)
-          in
-          let w = lat - (ii * s.dists.(i)) in
-          let cand = dist.(s.srcs.(i)) + w in
-          if cand > dist.(s.dsts.(i)) then begin
-            dist.(s.dsts.(i)) <- cand;
-            changed := true
-          end
-        done
-      done;
-      not !changed
+  List.for_all (fun c -> cycle_lat c ~latency <= ii * c.c_dist) s.witnesses
+  &&
+  match longest_paths s ~latency ~ii with
+  | Converged -> true
+  | Witness c ->
+      remember s c;
+      false
+  | Diverged -> false
 
-(* Feasibility is monotone in the II (edge weights only decrease), so
-   the binary search returns the unique minimal feasible II whatever
-   upper bound it starts from.  [upper_feasible] lets a caller that
-   already holds a feasible II (latency assignment lowers latencies, so
-   the previous II stays feasible) skip both the worst-case bound and
-   its infeasibility probe. *)
+(* Every II below the climb's current value is refuted by some witness
+   cycle (or by a diverged run), and the climb stops at the first II a
+   run proves feasible — so the answer is the minimal feasible II,
+   certified from both sides.  Each witness lifts the climb strictly
+   above the II it refuted.  Without a known-feasible cap, the
+   worst-case bound (every simple cycle of distance >= 1 has latency
+   below it) stands in: still infeasible there means only a
+   zero-distance positive cycle is left. *)
 let solve ?upper_feasible s ~latency =
-  match s.cycles with
-  | Some cs ->
-      (* II = max over cycles of ceil(lat/dist); a zero-distance cycle
-         with positive latency is the (only) infeasible-at-any-II case —
-         the same condition the search's worst-case-bound probe detects,
-         since every distance>=1 cycle's latency is below that bound. *)
-      let ii = ref 1 in
-      Array.iter
-        (fun c ->
-          let lat = cycle_lat c ~latency in
-          if c.c_dist = 0 then begin
-            if lat > 0 then raise Infeasible
-          end
-          else if lat > !ii * c.c_dist then
-            ii := (lat + c.c_dist - 1) / c.c_dist)
-        cs;
-      !ii
-  | None -> (
-      let rec search lo hi =
-        (* Invariant: [hi] is feasible, every ii < lo is infeasible. *)
-        if lo >= hi then hi
-        else
-          let mid = (lo + hi) / 2 in
-          if solve_feasible s ~latency ~ii:mid then search lo mid
-          else search (mid + 1) hi
-      in
-      match upper_feasible with
-      | Some upper -> search 1 upper
-      | None ->
-          let upper =
-            Array.fold_left (fun acc v -> acc + max 1 (latency v)) 1 s.nodes
-          in
-          if not (solve_feasible s ~latency ~ii:upper) then raise Infeasible;
-          search 1 upper)
+  let ceiling () =
+    Array.fold_left (fun acc v -> acc + max 1 (latency v)) 1 s.nodes
+  in
+  let rec climb ii =
+    match upper_feasible with
+    | Some upper when ii >= upper -> upper
+    | _ -> (
+        match longest_paths s ~latency ~ii with
+        | Converged -> ii
+        | Witness c ->
+            remember s c;
+            climb (cycle_ii c ~latency)
+        | Diverged ->
+            if upper_feasible = None && ii >= ceiling () then raise Infeasible;
+            climb (ii + 1))
+  in
+  climb (List.fold_left (fun acc c -> max acc (cycle_ii c ~latency)) 1 s.witnesses)
 
 let feasible ddg ~latency ~nodes ~ii =
   solve_feasible (solver ddg ~nodes) ~latency ~ii

@@ -8,7 +8,17 @@
 
     A {!solver} captures one recurrence's subgraph once; latency
     assignment evaluates hundreds of candidate latency vectors against
-    the same recurrence, so the filtered edge set is worth keeping. *)
+    the same recurrence, so the filtered edge set is worth keeping.
+
+    Every II query runs one algorithm: Bellman–Ford longest paths at a
+    candidate II that either converges (the II is feasible) or returns
+    a positive cycle of the graph of last-improving edges, whose
+    [ceil(lat/dist)] is a lower bound above the candidate.  {!solve}
+    climbs from the best known bound to the first II that converges.
+
+    A solver is mutable: it keeps its scratch arrays and the last few
+    witness cycles it found (their ratios under the current latencies
+    seed the next climb), so it may be used from one domain only. *)
 
 exception Infeasible
 (** Raised when a recurrence contains a zero-distance cycle with positive
@@ -21,13 +31,14 @@ val solver : Ddg.t -> nodes:int list -> solver
 
 val solve : ?upper_feasible:int -> solver -> latency:(int -> int) -> int
 (** Minimum feasible II of the captured recurrence under the given
-    latencies.  Feasibility is monotone in the II, so the result does
-    not depend on the search's starting bound; [upper_feasible] — an II
-    the caller knows to be feasible — only shortens the binary search.
+    latencies.  [upper_feasible] — an II the caller knows to be
+    feasible — caps the climb: reaching it returns it without another
+    run, so the result is the same with or without the cap.
     @raise Infeasible on a zero-distance positive cycle (never raised
     when [upper_feasible] is supplied). *)
 
 val solve_feasible : solver -> latency:(int -> int) -> ii:int -> bool
+(** Whether the captured recurrence schedules at [ii]. *)
 
 val feasible : Ddg.t -> latency:(int -> int) -> nodes:int list -> ii:int -> bool
 (** One-shot version of {!solve_feasible}. *)

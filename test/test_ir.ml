@@ -175,6 +175,17 @@ let test_mii_infeasible () =
   Alcotest.check_raises "zero-distance cycle" Mii.Infeasible (fun () ->
       ignore (Mii.recurrence_ii g ~latency:(Ddg.default_latency g) [ n0 ]))
 
+let test_mii_infeasible_large () =
+  (* The zero-distance cycle hides among 16,064 simple cycles. *)
+  let g = Mii_spec.complete_graph ~zero_cycle:true () in
+  let latency = Ddg.default_latency g in
+  let nodes = List.hd (Scc.recurrences g) in
+  check ci "one recurrence of all 8 nodes" 8 (List.length nodes);
+  Alcotest.check_raises "recurrence_ii" Mii.Infeasible (fun () ->
+      ignore (Mii.recurrence_ii g ~latency nodes));
+  Alcotest.check_raises "rec_mii" Mii.Infeasible (fun () ->
+      ignore (Mii.rec_mii g ~latency))
+
 let test_mii_latency_scaling () =
   let g = small_recurrence () in
   let base = Mii.rec_mii g ~latency:(Ddg.default_latency g) in
@@ -285,6 +296,7 @@ let suite =
     ("mii: simple cycle", `Quick, test_mii_simple_cycle);
     ("mii: dag", `Quick, test_mii_dag);
     ("mii: infeasible zero-distance cycle", `Quick, test_mii_infeasible);
+    ("mii: infeasible inside a large recurrence", `Quick, test_mii_infeasible_large);
     ("mii: monotone in latency", `Quick, test_mii_latency_scaling);
     ("mii: solver consistency", `Quick, test_mii_solver_matches_oneshot);
     ("unroll: factor one", `Quick, test_unroll_identity);

@@ -137,6 +137,53 @@ let prop_mii_monotone =
       let heavier i = latency i + 3 in
       Mii.rec_mii g ~latency <= Mii.rec_mii g ~latency:heavier)
 
+(* [Mii] against the binary-searched Bellman–Ford spec.  Cases: a
+   random loop's recurrences, the same unrolled x2..x32 (hundreds of
+   nodes), and the complete 8-node graph (16,064 simple cycles), each
+   under random latencies. *)
+let prop_mii_matches_spec =
+  make_test ~name:"RecMII solver matches the Bellman-Ford spec" (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+      let g =
+        match seed mod 3 with
+        | 0 -> build_random_ddg rng
+        | 1 -> Unroll.ddg (build_random_ddg rng) ~factor:(1 lsl (1 + gen_int 4))
+        | _ -> Mii_spec.complete_graph ()
+      in
+      let lat = Array.init (Ddg.n_ops g) (fun _ -> gen_int 12) in
+      let latency i = lat.(i) in
+      List.for_all
+        (fun nodes ->
+          let spec () = Mii_spec.solve g ~latency ~nodes in
+          let ii = spec () in
+          let s = Mii.solver g ~nodes in
+          let agree =
+            Mii.solve s ~latency = ii
+            && Mii.solve (Mii.solver g ~nodes) ~upper_feasible:(ii + gen_int 5)
+                 ~latency
+               = ii
+            && Mii.solve_feasible s ~latency ~ii
+            && (ii = 1 || not (Mii.solve_feasible s ~latency ~ii:(ii - 1)))
+          in
+          (* Repeated queries on one solver, as latency assignment makes
+             them: latencies only go down, the previous II caps the
+             climb on every other query. *)
+          let rec lower k prev =
+            k = 0
+            ||
+            let v = List.nth nodes (gen_int (List.length nodes - 1)) in
+            lat.(v) <- max 0 (lat.(v) - 1 - gen_int 4);
+            let ii = spec () in
+            let got =
+              if k mod 2 = 0 then Mii.solve s ~upper_feasible:prev ~latency
+              else Mii.solve s ~latency
+            in
+            got = ii && lower (k - 1) ii
+          in
+          agree && lower 6 ii)
+        (Scc.recurrences g))
+
 (* LRU set-associative array vs. a naive reference model. *)
 let prop_set_assoc_matches_reference =
   make_test ~name:"set-assoc array matches a reference LRU model"
@@ -249,6 +296,7 @@ let suite =
     prop_unroll_distance_sum;
     prop_unroll_preserves_mii_scaled;
     prop_mii_monotone;
+    prop_mii_matches_spec;
     prop_set_assoc_matches_reference;
     prop_expected_stall_monotone;
     prop_assignment_within_ladder;
