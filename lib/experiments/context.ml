@@ -113,54 +113,18 @@ let trace t bench spec ~index (c : Pipeline.compiled) =
       Sim.Executor.address_trace c
         ~addr_of:(WL.Layout.addr_fn exec_layout c.Pipeline.loop.Loop.ddg))
 
-let effective_cfg t ab_entries =
-  match ab_entries with
-  | None -> t.cfg
-  | Some n -> { t.cfg with Config.ab_entries = n }
-
 let attractable_flags cfg (c : Pipeline.compiled) =
   Vliw_core.Hints.attractable cfg c.Pipeline.loop.Loop.ddg
     ~profile:c.Pipeline.profile ~schedule:c.Pipeline.schedule ()
 
-let run_loops_on t bench spec ~machine ~cfg ?(hints = false) () =
-  List.mapi
-    (fun index (c : Pipeline.compiled) ->
-      let addr_trace = trace t bench spec ~index c in
-      let attractable =
-        if hints then Some (attractable_flags cfg c) else None
-      in
-      (c, Sim.Executor.run_loop cfg machine c ~addr_trace ?attractable ()))
-    (compiled t bench spec)
-
-let run_loops t bench spec ~arch ?ab_entries ?hints () =
-  let cfg = effective_cfg t ab_entries in
-  let machine = Sim.Machine.create cfg arch in
-  run_loops_on t bench spec ~machine ~cfg ?hints ()
-
-let run t bench spec ~arch ?ab_entries ?hints () =
-  let agg = Sim.Stats.create () in
-  List.iter
-    (fun (_, s) -> Sim.Stats.accumulate ~into:agg s)
-    (run_loops t bench spec ~arch ?ab_entries ?hints ());
-  agg
-
-let run_traffic t bench spec ~arch () =
-  let cfg = effective_cfg t None in
-  let machine = Sim.Machine.create cfg arch in
-  let agg = Sim.Stats.create () in
-  List.iter
-    (fun (_, s) -> Sim.Stats.accumulate ~into:agg s)
-    (run_loops_on t bench spec ~machine ~cfg ());
-  (agg, Sim.Machine.traffic_summary machine)
-
 (* ------------------------------------------------------------------ *)
-(* Batched sweeps: many cache configurations over one compiled plan.
+(* The runner: many cache configurations over one compiled plan.
 
    A cell is one memory-hierarchy point of a sweep.  All cells of a
    batch share the compiled plan and its memoized address trace; each
    keeps its own machine across every loop of the benchmark (cache
-   contents legitimately survive from loop to loop, as in the
-   non-batched runner) and its own statistics.  Batching happens
+   contents legitimately survive from loop to loop) and its own
+   statistics.  A solo run is the one-cell batch.  Batching happens
    *within* the calling worker domain — the experiment drivers
    parallelize across plans and batch the configurations inside. *)
 
@@ -205,8 +169,10 @@ let check_cell_geometry t cl =
 let batch_machines_and_loops t bench spec ?trip_cap cells =
   List.iter (check_cell_geometry t) cells;
   let machines =
-    Sim.Machine.create_batch_cfgs
-      (List.map (fun cl -> (cell_cfg t cl, cl.cell_arch)) cells)
+    Array.of_list
+      (List.map
+         (fun cl -> Sim.Machine.create (cell_cfg t cl) cl.cell_arch)
+         cells)
   in
   let cells_a = Array.of_list cells in
   (* [trip_cap] counts SOURCE iterations, so differently-unrolled plans
@@ -261,6 +227,9 @@ let run_batch t bench spec ?trip_cap cells =
     (Array.mapi
        (fun j agg -> (agg, Sim.Machine.traffic_summary machines.(j)))
        aggs)
+
+let run t bench spec ~arch ?ab_entries ?hints () =
+  fst (List.hd (run_batch t bench spec [ cell ?ab_entries ?hints arch ]))
 
 let weighted_balance cs =
   let total_w =

@@ -9,12 +9,12 @@
     same plan skip re-deriving the address stream.  One context can be
     shared by all worker domains of the parallel experiment engine.
 
-    Sweeps that pit many memory-hierarchy points against one compiled
-    plan should go through {!run_batch}: the batched executor traverses
+    Every simulation goes through {!run_batch}: the executor traverses
     the plan once and dispatches each resolved address to every cell,
     which is where the fig6 / traffic / AB-size sweeps get their
-    wall-clock win.  Batching happens inside the calling worker domain;
-    drivers parallelize across plans via {!Vliw_parallel.Pool}. *)
+    wall-clock win, and {!run} is the one-cell case.  Batching happens
+    inside the calling worker domain; drivers parallelize across plans
+    via {!Vliw_parallel.Pool}. *)
 
 type t
 
@@ -82,40 +82,6 @@ val compiled : t -> Vliw_workloads.Benchspec.t -> spec -> Vliw_core.Pipeline.com
     until the first finishes rather than compiling twice, and callers
     of different keys usually proceed on independent shard locks. *)
 
-val run :
-  t ->
-  Vliw_workloads.Benchspec.t ->
-  spec ->
-  arch:Vliw_sim.Machine.arch ->
-  ?ab_entries:int ->
-  ?hints:bool ->
-  unit ->
-  Vliw_sim.Stats.t
-(** Compile and execute the whole benchmark on one memory system,
-    aggregating loop statistics.  [ab_entries] overrides the
-    attraction-buffer capacity; [hints] enables the compiler's
-    "attractable" marking with K = buffer entries (Section 5.2). *)
-
-val run_loops :
-  t ->
-  Vliw_workloads.Benchspec.t ->
-  spec ->
-  arch:Vliw_sim.Machine.arch ->
-  ?ab_entries:int ->
-  ?hints:bool ->
-  unit ->
-  (Vliw_core.Pipeline.compiled * Vliw_sim.Stats.t) list
-(** Per-loop variant of {!run} (used by the per-loop ablations). *)
-
-val run_traffic :
-  t ->
-  Vliw_workloads.Benchspec.t ->
-  spec ->
-  arch:Vliw_sim.Machine.arch ->
-  unit ->
-  Vliw_sim.Stats.t * (string * int) list
-(** Like {!run}, also returning the memory system's traffic counters. *)
-
 type cell = {
   cell_arch : Vliw_sim.Machine.arch;
   cell_cfg : Vliw_arch.Config.t option;
@@ -128,7 +94,7 @@ type cell = {
     cluster count and interleaving factor, which the plan bakes in), an
     optional attraction-buffer capacity override applied on top, and
     whether the compiler's attractable hints are applied (with K
-    derived from the cell's own AB capacity, as in {!run}). *)
+    derived from the cell's own AB capacity, Section 5.2). *)
 
 val cell :
   ?cfg:Vliw_arch.Config.t ->
@@ -149,7 +115,7 @@ val run_batch :
     over a single traversal of each loop's access plan
     ({!Vliw_sim.Executor.run_loop_batched}).  Returns per-cell
     aggregated statistics and traffic counters, in cell order — each
-    bit-identical to the corresponding {!run} / {!run_traffic} call.
+    bit-identical to the same cell run as a one-cell batch.
 
     [trip_cap] (source iterations per loop; default unlimited) cuts
     every loop after [ceil (trip_cap / unroll_factor)] unrolled
@@ -167,6 +133,22 @@ val run_batch_loops :
 (** Per-loop variant of {!run_batch}: for each compiled loop, the
     statistics of every cell (cell order), for drivers that break
     results down by loop. *)
+
+val run :
+  t ->
+  Vliw_workloads.Benchspec.t ->
+  spec ->
+  arch:Vliw_sim.Machine.arch ->
+  ?ab_entries:int ->
+  ?hints:bool ->
+  unit ->
+  Vliw_sim.Stats.t
+(** Compile and execute the whole benchmark on one memory system,
+    aggregating loop statistics: the aggregate of the one-cell
+    {!run_batch} [[cell ?ab_entries ?hints arch]].  [ab_entries]
+    overrides the attraction-buffer capacity; [hints] enables the
+    compiler's "attractable" marking with K = buffer entries
+    (Section 5.2). *)
 
 val weighted_balance : Vliw_core.Pipeline.compiled list -> float
 (** Loop-weight-weighted mean of the schedules' workload balance — the

@@ -27,18 +27,25 @@ let fractions stats =
   let total = float_of_int (max 1 (Stats.total_accesses stats)) in
   List.map (fun k -> float_of_int (Stats.accesses stats k) /. total) classes
 
-let stats_for ctx spec =
+(* Every (benchmark, variant) cell is simulated once: per benchmark, its
+   stats under each variant, keyed by label in [variants] order.  The
+   per-variant tables, the summary and the headline gains all derive
+   from this. *)
+let suite_stats ctx =
   Pool.map_ordered
     (fun bench ->
-      (bench.WL.Benchspec.name, Context.run ctx bench spec ~arch ()))
+      ( bench.WL.Benchspec.name,
+        List.map
+          (fun (label, spec) -> (label, Context.run ctx bench spec ~arch ()))
+          variants ))
     WL.Mediabench.all
 
-let tables ctx =
+let tables_of suite =
   let per_variant =
     List.map
-      (fun (label, spec) ->
+      (fun (label, _) ->
         let rows =
-          List.map (fun (n, s) -> (n, fractions s)) (stats_for ctx spec)
+          List.map (fun (n, ss) -> (n, fractions (List.assoc label ss))) suite
         in
         let rows = rows @ [ Context.amean rows ] in
         Table.make
@@ -50,14 +57,10 @@ let tables ctx =
   in
   let summary =
     let rows =
-      Pool.map_ordered
-        (fun bench ->
-          ( bench.WL.Benchspec.name,
-            List.map
-              (fun (_, spec) ->
-                Stats.local_hit_ratio (Context.run ctx bench spec ~arch ()))
-              variants ))
-        WL.Mediabench.all
+      List.map
+        (fun (n, ss) ->
+          (n, List.map (fun (_, s) -> Stats.local_hit_ratio s) ss))
+        suite
     in
     let rows = rows @ [ Context.amean rows ] in
     Table.make ~title:"Figure 4 summary: local-hit ratio per variant (IPBC)"
@@ -65,25 +68,28 @@ let tables ctx =
   in
   per_variant @ [ summary ]
 
-let mean_local_hit ctx spec =
-  let rows = stats_for ctx spec in
-  List.fold_left (fun acc (_, s) -> acc +. Stats.local_hit_ratio s) 0.0 rows
-  /. float_of_int (List.length rows)
-
-let local_hit_gains ctx =
-  let v label = List.assoc label variants in
+let gains_of suite =
+  let mean_local_hit label =
+    List.fold_left
+      (fun acc (_, ss) -> acc +. Stats.local_hit_ratio (List.assoc label ss))
+      0.0 suite
+    /. float_of_int (List.length suite)
+  in
   let align_gain =
-    mean_local_hit ctx (v "OUF+align") -. mean_local_hit ctx (v "OUF w/o align")
+    mean_local_hit "OUF+align" -. mean_local_hit "OUF w/o align"
   in
   let unroll_gain =
-    mean_local_hit ctx (v "OUF+align")
-    -. mean_local_hit ctx (v "no-unroll+align")
+    mean_local_hit "OUF+align" -. mean_local_hit "no-unroll+align"
   in
   (align_gain, unroll_gain)
 
+let tables ctx = tables_of (suite_stats ctx)
+let local_hit_gains ctx = gains_of (suite_stats ctx)
+
 let run ppf ctx =
-  List.iter (fun t -> Table.render ppf t; Format.pp_print_newline ppf ()) (tables ctx);
-  let align_gain, unroll_gain = local_hit_gains ctx in
+  let suite = suite_stats ctx in
+  List.iter (fun t -> Table.render ppf t; Format.pp_print_newline ppf ()) (tables_of suite);
+  let align_gain, unroll_gain = gains_of suite in
   Format.fprintf ppf
     "Local-hit ratio gain from variable alignment (OUF): %+.1f points \
      (paper: ~+20)@.Local-hit ratio gain from OUF unrolling (aligned): %+.1f \

@@ -4,7 +4,7 @@
     A token carries a budget counted in {e work units}, never
     wall-clock: instrumented code calls {!tick} at coarse deterministic
     points (one unit per candidate factor the selective search
-    schedules, one unit per cell per 256-iteration chunk of a batched
+    schedules, one unit per cell per 256-iteration chunk of a
     simulation, one unit per solver decision/conflict of an oracle
     probe), so a given computation under a given budget is cancelled at
     exactly the same point on every host and at every [--jobs] setting —

@@ -37,8 +37,9 @@ let stall_factors cfg (c : Pipeline.compiled) ~unclear_threshold op =
       | None -> ());
       !factors
 
-(* The mem-ops of the loop in issue order — shared by both executors so
-   the access streams are identical (List.sort is stable). *)
+(* The mem-ops of the loop in issue order — shared by the kernel and the
+   reference so the access streams are identical (List.sort is
+   stable). *)
 let mem_ops_in_issue_order (c : Pipeline.compiled) =
   let sched = c.Pipeline.schedule in
   Ddg.memory_ops c.Pipeline.loop.Loop.ddg
@@ -46,18 +47,11 @@ let mem_ops_in_issue_order (c : Pipeline.compiled) =
          compare sched.Schedule.start.(a) sched.Schedule.start.(b))
 
 (* ------------------------------------------------------------------ *)
-(* The access-plan kernel.
+(* The access plan.
 
    Everything the steady-state loop needs is precomputed into flat
    arrays indexed by mem-op plan position: start cycle, cluster, parts,
-   store/attract flags, promised latency, and the Figure-5 factor mask.
-   The backend dispatch is hoisted out of the loop — each [Machine.state]
-   arm instantiates the driver with a monomorphic access closure calling
-   that cache's allocation-free [access_into] — and access results come
-   back through two mutable scratch slots.  The steady-state (hit-path)
-   loop performs zero heap allocation; miss paths may grow the cache's
-   pending table, which is amortized and bounded by the blocks in
-   flight. *)
+   store flag, promised latency, and the Figure-5 factor mask. *)
 
 type plan = {
   ops : int array;  (* op id, in issue order *)
@@ -66,12 +60,10 @@ type plan = {
   stores : bool array;
   parts : int array;  (* subword parts an element spans *)
   promised : int array;  (* latency the schedule promised the load *)
-  attracts : bool array;
   factor_masks : int array;  (* Stats.factor_mask of the op's factors *)
 }
 
-let build_plan cfg (c : Pipeline.compiled) ?attractable ~unclear_threshold ()
-    =
+let build_plan cfg (c : Pipeline.compiled) ~unclear_threshold =
   let ddg = c.Pipeline.loop.Loop.ddg in
   let sched = c.Pipeline.schedule in
   let i_factor = cfg.Config.interleaving_factor in
@@ -85,7 +77,6 @@ let build_plan cfg (c : Pipeline.compiled) ?attractable ~unclear_threshold ()
       stores = Array.make n false;
       parts = Array.make n 1;
       promised = Array.make n 0;
-      attracts = Array.make n true;
       factor_masks = Array.make n 0;
     }
   in
@@ -106,9 +97,6 @@ let build_plan cfg (c : Pipeline.compiled) ?attractable ~unclear_threshold ()
       in
       p.parts.(k) <- max 1 ((granularity + i_factor - 1) / i_factor);
       p.promised.(k) <- c.Pipeline.latencies.(op);
-      (match attractable with
-      | None -> ()
-      | Some flags -> p.attracts.(k) <- flags.(op));
       p.factor_masks.(k) <-
         Stats.factor_mask (stall_factors cfg c ~unclear_threshold op))
     ops;
@@ -160,95 +148,36 @@ let resolve_trace (p : plan) ~trip ~full_trip ~addr_of ~addr_trace =
       | None ->
           invalid_arg "Executor: either ~addr_of or ~addr_trace is required")
 
-let run_loop cfg machine (c : Pipeline.compiled) ?addr_of ?addr_trace
-    ?attractable ?(unclear_threshold = default_unclear_threshold) () =
-  let trip = c.Pipeline.loop.Loop.trip_count in
-  let sched = c.Pipeline.schedule in
-  let ii = sched.Schedule.ii in
-  let p = build_plan cfg c ?attractable ~unclear_threshold () in
-  let n = Array.length p.ops in
-  let i_factor = cfg.Config.interleaving_factor in
-  let trace = resolve_trace p ~trip ~full_trip:trip ~addr_of ~addr_trace in
-  let stats = Stats.create () in
-  let stall = ref 0 in
-  (* Scratch slots, allocated once: [out] receives each part's result,
-     [slowest] folds the parts of one element. *)
-  let out = Access.scratch () in
-  let slowest = Access.scratch () in
-  (* Accounting once the slowest part of an element is known. *)
-  let finish k issue =
-    let kind = slowest.Access.s_kind in
-    Stats.count_access stats kind;
-    if not p.stores.(k) then begin
-      let s = slowest.Access.s_ready_at - (issue + p.promised.(k)) in
-      if s > 0 then begin
-        stall := !stall + s;
-        Stats.count_stall stats kind ~cycles:s;
-        if kind = Access.Remote_hit then
-          Stats.count_stall_factor_mask stats p.factor_masks.(k)
-      end
-    end
-  in
-  (* The driver loop, instantiated once per backend arm with a
-     monomorphic [access_part k ~now ~addr] writing into [out]. *)
-  let drive access_part =
-    for iter = 0 to trip - 1 do
-      let row = iter * n in
-      for k = 0 to n - 1 do
-        let issue = (iter * ii) + p.starts.(k) + !stall in
-        let base = trace.(row + k) in
-        access_part k ~now:issue ~addr:base;
-        slowest.Access.s_kind <- out.Access.s_kind;
-        slowest.Access.s_ready_at <- out.Access.s_ready_at;
-        for q = 1 to p.parts.(k) - 1 do
-          access_part k ~now:issue ~addr:(base + (q * i_factor));
-          if out.Access.s_ready_at >= slowest.Access.s_ready_at then begin
-            slowest.Access.s_kind <- out.Access.s_kind;
-            slowest.Access.s_ready_at <- out.Access.s_ready_at
-          end
-        done;
-        finish k issue
-      done
-    done
-  in
-  (match Machine.state machine with
-  | Machine.Interleaved_state ic ->
-      drive (fun k ~now ~addr ->
-          Arch.Interleaved_cache.access_into ic out ~attract:p.attracts.(k)
-            ~now ~cluster:p.clusters.(k) ~addr ~store:p.stores.(k))
-  | Machine.Unified_state uc ->
-      drive (fun _ ~now ~addr -> Arch.Unified_cache.access_into uc out ~now ~addr)
-  | Machine.Coherent_state cc ->
-      drive (fun k ~now ~addr ->
-          Arch.Coherent_cache.access_into cc out ~now
-            ~cluster:p.clusters.(k) ~addr ~store:p.stores.(k)));
-  Stats.add_compute stats
-    ((trip + Schedule.stage_count sched - 1) * ii);
-  Machine.end_of_loop machine;
-  stats
-
 (* ------------------------------------------------------------------ *)
-(* The batched kernel: N cache configurations in lockstep over a single
-   traversal of one access plan.
+(* The kernel: N cache configurations in lockstep over a single
+   traversal of one access plan.  A solo run is the one-cell batch.
 
    Sweeps (fig6 configurations, AB sizes, the traffic ablation, the
    design-space autopilot) re-execute the same compiled plan against
    many memory-hierarchy points.  The plan, the Figure-5 factor masks
    and the address trace are identical across those points, so the
-   batched driver hoists them out and keeps only what genuinely differs
-   per configuration as struct-of-arrays batch state:
+   kernel hoists them out and keeps only what genuinely differs per
+   configuration as struct-of-arrays batch state:
 
      - [stalls]  : each config's accumulated stall (its own clock skew),
      - [stats]   : each config's Stats accumulator,
      - [attracts]: each config's per-plan-position attract flag,
      - the machines themselves (tags, AB contents, pending Int_tables).
 
+   The backend dispatch is hoisted out of the loop — each cell gets a
+   monomorphic access closure calling its cache's allocation-free
+   [access_into] — and access results come back through two mutable
+   scratch slots.  The steady-state (hit-path) loop performs zero heap
+   allocation; miss paths may grow the cache's pending table, which is
+   amortized and bounded by the blocks in flight.
+
    The inner loop resolves each mem-op's address once per iteration and
    dispatches it to every cell.  Cells are fully independent — each has
    its own machine, stall clock and statistics — so every cell's
-   per-access sequence is exactly what a solo [run_loop] would produce:
-   results are bit-identical to running each config alone, which the
-   golden suite and the batch-composition qcheck property assert. *)
+   per-access sequence is exactly what a one-cell batch of that config
+   would produce: results are bit-identical whatever the batch
+   composition, which the golden suite and the batch-composition
+   qcheck property assert. *)
 
 type batch_cell = {
   machine : Machine.t;
@@ -271,7 +200,7 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
   in
   let sched = c.Pipeline.schedule in
   let ii = sched.Schedule.ii in
-  let p = build_plan cfg c ~unclear_threshold () in
+  let p = build_plan cfg c ~unclear_threshold in
   let n = Array.length p.ops in
   let m = Array.length cells in
   let i_factor = cfg.Config.interleaving_factor in
@@ -279,11 +208,12 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
   (* Struct-of-arrays per-config state. *)
   let stalls = Array.make m 0 in
   let stats = Array.init m (fun _ -> Stats.create ()) in
+  let attract_all = Array.make n true in
   let attracts =
     Array.map
       (fun cell ->
         match cell.attractable with
-        | None -> p.attracts (* all true; shared read-only *)
+        | None -> attract_all (* shared read-only *)
         | Some flags -> Array.map (fun op -> flags.(op)) p.ops)
       cells
   in
@@ -310,7 +240,7 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
   for iter = 0 to trip - 1 do
     (* Deadline tick: [m] work units (one per simulated config) every
        256 unrolled iterations — coarse enough to cost nothing, placed
-       at an iteration boundary so a cancelled batch is cut at the same
+       at an iteration boundary so a cancelled run is cut at the same
        trip point regardless of host or batch composition. *)
     if iter land 255 = 0 then Vliw_parallel.Cancel.tick ~stage:"simulate" m;
     let row = iter * n in
@@ -351,11 +281,18 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
   Array.iter (fun cell -> Machine.end_of_loop cell.machine) cells;
   stats
 
+let run_loop cfg machine c ?addr_of ?addr_trace ?attractable ?unclear_threshold
+    () =
+  (run_loop_batched cfg [| { machine; attractable } |] c ?addr_of ?addr_trace
+     ?unclear_threshold ()).(0)
+
 (* ------------------------------------------------------------------ *)
 (* The straightforward list-based executor the kernel above replaced,
    kept as the executable specification: the golden-equivalence suite
-   asserts the plan kernel produces bit-identical statistics on every
-   backend.  Not used by any experiment driver. *)
+   asserts the kernel produces bit-identical statistics on every
+   backend.  No experiment driver uses it; it stays in the library
+   because the repository benchmark's correctness check
+   (perfbench/compiles.ml) calls it too. *)
 
 let run_loop_reference cfg machine (c : Pipeline.compiled) ~addr_of
     ?attractable ?(unclear_threshold = default_unclear_threshold) () =

@@ -48,13 +48,10 @@ val run_loop :
     sweeps skip re-deriving it.  At least one of the two is required;
     when both are given the trace wins.
 
-    Implementation: an access-plan kernel.  Per-operation facts (start
-    cycle, cluster, parts, store/attract flags, promised latency,
-    Figure-5 factor mask) are precomputed into flat arrays, the backend
-    dispatch is hoisted out of the loop into one specialized inner loop
-    per {!Machine.state} arm, and access results travel through mutable
-    scratch slots — the steady-state loop performs no heap
-    allocation. *)
+    A solo run is the one-cell batch: {!run_loop_batched} over
+    [[| { machine; attractable } |]], so every simulated access goes
+    through the one kernel {!run_loop_reference} checks, and a solo run
+    under a deadline ticks {!Vliw_parallel.Cancel} like any batch. *)
 
 (** One configuration of a batched sweep: its own machine (cache tags,
     AB contents, pending-request tables) and, optionally, its own
@@ -79,9 +76,14 @@ val run_loop_batched :
     shared; per-configuration stall clocks, statistics and attract
     flags live in struct-of-arrays batch state; each mem-op's resolved
     address is dispatched to every cell before the traversal advances.
-    Cells are fully independent, so each cell's result (and its
-    machine's traffic counters) is bit-identical to a solo {!run_loop}
-    of that configuration — asserted by the golden suite and the
+    Per-operation facts (start cycle, cluster, parts, store flag,
+    promised latency, Figure-5 factor mask) are precomputed into flat
+    arrays, the backend dispatch is hoisted into one access closure per
+    cell, and access results travel through mutable scratch slots — the
+    steady-state loop performs no heap allocation.  Cells are fully
+    independent, so each cell's result (and its machine's traffic
+    counters) is bit-identical to a one-cell batch of that
+    configuration — asserted by the golden suite and the
     batch-composition qcheck property.
 
     [cfg] is the plan-side configuration; every cell must agree with it
@@ -96,7 +98,11 @@ val run_loop_batched :
     point and compute time uses the cut count, so a capped run is
     exactly a shortened loop — the design-space sweep's
     fidelity/wall-clock knob.  A supplied [addr_trace] must still be
-    the full-length stream. *)
+    the full-length stream.
+
+    Under an installed {!Vliw_parallel.Cancel} token the kernel charges
+    one work unit per cell every 256 unrolled iterations (stage
+    ["simulate"]) and may raise {!Vliw_parallel.Cancel.Cancelled}. *)
 
 val run_loop_reference :
   Vliw_arch.Config.t ->
@@ -107,7 +113,10 @@ val run_loop_reference :
   ?unclear_threshold:float ->
   unit ->
   Stats.t
-(** The straightforward list-based executor {!run_loop}'s kernel
-    replaced, kept as the executable specification: the golden
-    equivalence suite asserts both produce bit-identical {!Stats.t} on
-    every backend.  Not used by the experiment drivers. *)
+(** The straightforward list-based executor the kernel replaced, kept
+    as the executable specification: the golden equivalence suite
+    asserts {!run_loop} and {!run_loop_batched} produce bit-identical
+    {!Stats.t} on every backend.  Not used by the experiment drivers;
+    it lives here rather than in the tests because the repository
+    benchmark's correctness check calls it as well.  Never ticks
+    {!Vliw_parallel.Cancel}. *)

@@ -51,14 +51,6 @@ let create_batch cfg specs =
          create cfg arch)
        specs)
 
-(* The design-space sweep's generalization: each cell brings a full
-   configuration (cache geometry, latencies, AB shape), not just an AB
-   capacity override.  The plan-side agreement obligations (cluster
-   count, interleaving factor) are the batched executor's caller's to
-   uphold — Context checks them. *)
-let create_batch_cfgs specs =
-  Array.of_list (List.map (fun (cfg, arch) -> create cfg arch) specs)
-
 let access t ?(attract = true) ~now ~cluster ~addr ~store () =
   match t.state with
   | Interleaved_state c ->

@@ -29,13 +29,6 @@ val create_batch :
     [cfg]'s attraction-buffer capacity for that cell (the AB-size
     sweeps' knob); [None] keeps [cfg]'s. *)
 
-val create_batch_cfgs : (Vliw_arch.Config.t * arch) list -> t array
-(** {!create_batch} generalized to a full configuration per cell — the
-    design-space sweep's cache-geometry axis.  Every cell's
-    configuration must agree with the batched executor's plan-side
-    configuration on cluster count and interleaving factor (cache size,
-    associativity, latencies and attraction-buffer shape are free). *)
-
 val access :
   t ->
   ?attract:bool ->

@@ -170,6 +170,49 @@ let test_hints_help_epicdec () =
   check cb "hints do not hurt with an 8-entry buffer" true
     (stall true <= stall false)
 
+(* Context.run's knob forwarding against the executable specification:
+   the AB-capacity override and the attractable hints must reach the
+   simulated machine exactly as a hand-built reference run applies
+   them — one fresh machine on the overridden config, kept across every
+   loop of the benchmark. *)
+let test_run_knobs_match_reference () =
+  let b = bench "epicdec" in
+  let spec = Context.interleaved `Ipbc in
+  let exec_layout =
+    WL.Layout.create (Context.cfg ctx) ~aligned:spec.Context.aligned
+      ~run:WL.Layout.Execution_run ~seed:7
+  in
+  List.iter
+    (fun ab_entries ->
+      List.iter
+        (fun hints ->
+          let cfg = { (Context.cfg ctx) with Config.ab_entries } in
+          let machine = Machine.create cfg with_ab in
+          let expected = Stats.create () in
+          List.iter
+            (fun (c : Pipeline.compiled) ->
+              let ddg = c.Pipeline.loop.Vliw_ir.Loop.ddg in
+              let attractable =
+                if hints then
+                  Some
+                    (Vliw_core.Hints.attractable cfg ddg
+                       ~profile:c.Pipeline.profile
+                       ~schedule:c.Pipeline.schedule ())
+                else None
+              in
+              Stats.accumulate ~into:expected
+                (Vliw_sim.Executor.run_loop_reference cfg machine c
+                   ~addr_of:(WL.Layout.addr_fn exec_layout ddg)
+                   ?attractable ()))
+            (Context.compiled ctx b spec);
+          let got = Context.run ctx b spec ~arch:with_ab ~ab_entries ~hints () in
+          check cb
+            (Printf.sprintf "epicdec AB-%d hints=%b: run = reference" ab_entries
+               hints)
+            true (Stats.equal got expected))
+        [ false; true ])
+    [ 8; 16 ]
+
 let test_worked_example_full () =
   let lat = Vliw_experiments.Worked_example.assigned ctx in
   check ci "n1" 4 lat.(Vliw_experiments.Worked_example.n1);
@@ -190,5 +233,7 @@ let suite =
     ("schedules: balance in range", `Slow, test_workload_balance_range);
     ("schedules: whole suite validates", `Slow, test_every_benchmark_schedules_validly);
     ("ablation: hints help epicdec", `Slow, test_hints_help_epicdec);
+    ("context: run forwards AB size and hints like the reference", `Slow,
+     test_run_knobs_match_reference);
     ("worked example: final latencies", `Quick, test_worked_example_full);
   ]

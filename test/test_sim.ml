@@ -214,6 +214,25 @@ let test_executor_store_never_stalls () =
   check ci "stores never stall" 0 (Stats.stall_cycles s);
   check cb "but are classified" true (Stats.total_accesses s > 0)
 
+let test_run_loop_honours_deadline () =
+  (* A solo run is a one-cell batch, so an installed deadline cancels it
+     at the kernel's first tick; with no token it runs to completion. *)
+  let module Cancel = Vliw_parallel.Cancel in
+  let c = compiled_of ~assigned_latency:1 ~cluster:0 ~granularity:4 ~trip:10 in
+  let solo () =
+    let machine =
+      Machine.create cfg (Machine.Word_interleaved { attraction_buffers = false })
+    in
+    Executor.run_loop cfg machine c ~addr_of:(fun ~op:_ ~iter:_ -> 0) ()
+  in
+  (match Cancel.with_token (Cancel.create ~budget:0) solo with
+  | _ -> Alcotest.fail "run_loop ignored an exhausted deadline"
+  | exception Cancel.Cancelled { stage; spent; budget } ->
+      check Alcotest.string "stage" "simulate" stage;
+      check ci "spent" 1 spent;
+      check ci "budget" 0 budget);
+  check ci "unbounded run completes" 10 (Stats.total_accesses (solo ()))
+
 let test_executor_factor_classification () =
   (* Stalling remote hits of an op scheduled away from its preferred
      cluster are tagged Not_in_preferred; stride 0 is a multiple of NxI,
@@ -229,10 +248,10 @@ let test_executor_factor_classification () =
 
 (* ------------------------------------------- golden equivalence suite *)
 
-(* The access-plan kernel (run_loop) against the list-based executable
-   specification (run_loop_reference): bit-identical Stats and traffic
-   counters on real benchmarks, across every memory-system backend, with
-   and without attraction hints. *)
+(* The one kernel, run solo as a one-cell batch (run_loop), against the
+   list-based executable specification (run_loop_reference):
+   bit-identical Stats and traffic counters on real benchmarks, across
+   every memory-system backend, with and without attraction hints. *)
 
 module WL = Vliw_workloads
 
@@ -454,6 +473,7 @@ let suite =
     ("executor: wide accesses partly remote", `Quick, test_executor_wide_access);
     ("executor: stores never stall", `Quick, test_executor_store_never_stalls);
     ("executor: figure-5 factor flags", `Quick, test_executor_factor_classification);
+    ("executor: solo run honours a deadline", `Quick, test_run_loop_honours_deadline);
     ("executor: kernel matches reference on all backends", `Slow,
      test_kernel_matches_reference);
     ("executor: batched sweep matches kernel and reference", `Slow,
