@@ -25,12 +25,11 @@ type attempt = {
   start : int array;  (* may be negative until normalization *)
   cluster : int array;  (* -1 = unscheduled *)
   mutable copies : Schedule.copy list;
-  copy_times : (int * int, int list) Hashtbl.t;  (* (src_op, to_cluster) *)
+  copy_times : int list array;
+      (* start cycles of the copies of [src_op] into [to_cluster], at
+         [src_op * n_clusters + to_cluster] *)
   mem_component : int array;  (* -1 for non-memory ops *)
   component_cluster : int array;  (* -1 = not yet pinned *)
-  snap : Mrt.snapshot;
-      (* reusable rollback buffer — [try_cycles] saves/restores on every
-         placement probe, and only one probe is live at a time *)
 }
 
 (* Memory-dependence components (the paper's chains): all their members
@@ -70,13 +69,13 @@ let memory_components ddg =
 
 let scheduled a v = a.cluster.(v) >= 0
 
-let existing_copies a ~src ~to_cluster =
-  Option.value ~default:[] (Hashtbl.find_opt a.copy_times (src, to_cluster))
+let copy_key a ~src ~to_cluster = (src * a.cfg.Config.n_clusters) + to_cluster
+let existing_copies a ~src ~to_cluster = a.copy_times.(copy_key a ~src ~to_cluster)
 
-let record_copy a cp =
+let record_copy a (cp : Schedule.copy) =
   a.copies <- cp :: a.copies;
-  let key = (cp.Schedule.src_op, cp.Schedule.to_cluster) in
-  Hashtbl.replace a.copy_times key (cp.Schedule.start :: existing_copies a ~src:cp.Schedule.src_op ~to_cluster:cp.Schedule.to_cluster)
+  let key = copy_key a ~src:cp.src_op ~to_cluster:cp.to_cluster in
+  a.copy_times.(key) <- cp.start :: a.copy_times.(key)
 
 (* Earliest start of [v] in cluster [c] given its scheduled predecessors. *)
 let window a v c =
@@ -259,16 +258,20 @@ let candidate_clusters a hooks v ~allow_cross_cluster_mem =
       all
       |> List.filter feasible
       |> List.map (fun c -> (comm_cost a v c, Mrt.cluster_load a.mrt c, c))
-      |> List.sort compare
+      |> List.sort (fun (cost1, load1, c1) (cost2, load2, c2) ->
+             if cost1 <> cost2 then Int.compare cost1 cost2
+             else if load1 <> load2 then Int.compare load1 load2
+             else Int.compare c1 c2)
       |> List.map (fun (_, _, c) -> c)
 
 (* Probe up to [count] cycles starting at [first], stepping by [step]
    (+1 ascending from estart, -1 descending from lstart).  Iterating the
    window directly — rather than materializing a [List.init ii] list per
    operation per II attempt — keeps the scheduler's hottest loop
-   allocation-free. *)
+   allocation-free, and a failed probe undoes only the reservations it
+   made (back to one journal mark). *)
 let try_cycles a v c ~first ~count ~step =
-  Mrt.save a.mrt a.snap;
+  let mark = Mrt.snapshot a.mrt in
   let rec loop i t =
     if i >= count then false
     else
@@ -282,7 +285,7 @@ let try_cycles a v c ~first ~count ~step =
           List.iter (record_copy a) new_copies;
           true
       | exception Placement_failed ->
-          Mrt.restore a.mrt a.snap;
+          Mrt.restore a.mrt mark;
           loop (i + 1) (t + step)
   in
   loop 0 first
@@ -303,10 +306,9 @@ let attempt cfg ddg ~latency ~order_base ~components ~hooks
       start = Array.make n 0;
       cluster = Array.make n (-1);
       copies = [];
-      copy_times = Hashtbl.create 16;
+      copy_times = Array.make (n * cfg.Config.n_clusters) [];
       mem_component;
       component_cluster = Array.make (max 1 n_components) (-1);
-      snap = Mrt.make_snapshot mrt;
     }
   in
   let order =
@@ -467,10 +469,12 @@ let sequential cfg ddg ~latency ~hooks ~allow_cross_cluster_mem =
 
 let schedule cfg ddg ~latency ?(hooks = default_hooks)
     ?(allow_cross_cluster_mem = false) ?min_ii ?max_ii () =
-  let mii = Resources.mii cfg ddg ~latency in
+  (* [prepare] already solved every recurrence's II, so the MII needs no
+     second SCC and RecMII pass. *)
+  let prepared = Ordering.prepare ddg ~latency in
+  let mii = max (Resources.res_mii cfg ddg) (Ordering.rec_mii prepared) in
   let lo = max 1 (Option.value ~default:mii min_ii) in
   let hi = Option.value ~default:((4 * mii) + 64) max_ii in
-  let prepared = Ordering.prepare ddg ~latency in
   let components = memory_components ddg in
   let try_ii ii =
     (* The greedy pass can wedge on the node that closes a recurrence (a

@@ -10,11 +10,21 @@ type t = {
   issue_used : int array array;
   bus_used : int array;  (** transfers holding some register bus at a cycle *)
   loads : int array;  (** issue slots per cluster, across all cycles *)
-  bus_scratch : int array;
-      (** reusable buffer for {!bus_window_usage} — the bus check runs on
-          every copy-slot probe of the scheduler's inner loop, so it must
-          not allocate *)
+  mutable journal : int array;
+      (** one packed [(kind, cluster, slot)] entry per reservation, oldest
+          first; {!restore} pops entries back to a mark *)
+  mutable journal_len : int;
 }
+
+(* Journal entry kinds.  An FU entry also charged an issue slot and the
+   cluster load; an issue entry charged both of those; a bus entry
+   charged the transfer's occupancy window starting at its slot. *)
+let k_int = 0
+let k_fp = 1
+let k_mem = 2
+let k_issue = 3
+let k_bus = 4
+let n_kinds = 5
 
 let create (cfg : Config.t) ~ii =
   if ii < 1 then invalid_arg "Mrt.create: ii < 1";
@@ -30,7 +40,8 @@ let create (cfg : Config.t) ~ii =
     issue_used = per_cluster ();
     bus_used = Array.make ii 0;
     loads = Array.make cfg.Config.n_clusters 0;
-    bus_scratch = Array.make ii 0;
+    journal = Array.make 64 0;
+    journal_len = 0;
   }
 
 let ii t = t.ii
@@ -39,25 +50,45 @@ let slot t cycle =
   let m = cycle mod t.ii in
   if m < 0 then m + t.ii else m
 
-let table_and_limit t = function
-  | Opcode.Int_fu -> (t.int_used, t.cfg.Config.int_fus_per_cluster)
-  | Opcode.Fp_fu -> (t.fp_used, t.cfg.Config.fp_fus_per_cluster)
-  | Opcode.Mem_fu -> (t.mem_used, t.cfg.Config.mem_fus_per_cluster)
+let push t ~kind ~cluster ~slot =
+  if t.journal_len = Array.length t.journal then begin
+    let bigger = Array.make (2 * t.journal_len) 0 in
+    Array.blit t.journal 0 bigger 0 t.journal_len;
+    t.journal <- bigger
+  end;
+  t.journal.(t.journal_len) <-
+    (((slot * t.cfg.Config.n_clusters) + cluster) * n_kinds) + kind;
+  t.journal_len <- t.journal_len + 1
+
+let fu_table t = function
+  | Opcode.Int_fu -> t.int_used
+  | Opcode.Fp_fu -> t.fp_used
+  | Opcode.Mem_fu -> t.mem_used
+
+let fu_limit t = function
+  | Opcode.Int_fu -> t.cfg.Config.int_fus_per_cluster
+  | Opcode.Fp_fu -> t.cfg.Config.fp_fus_per_cluster
+  | Opcode.Mem_fu -> t.cfg.Config.mem_fus_per_cluster
+
+let fu_kind = function
+  | Opcode.Int_fu -> k_int
+  | Opcode.Fp_fu -> k_fp
+  | Opcode.Mem_fu -> k_mem
 
 let fu_free t ~cluster ~fu ~cycle =
   let c = slot t cycle in
-  let table, limit = table_and_limit t fu in
-  table.(cluster).(c) < limit
+  (fu_table t fu).(cluster).(c) < fu_limit t fu
   && t.issue_used.(cluster).(c) < t.cfg.Config.issue_width_per_cluster
 
 let reserve_fu t ~cluster ~fu ~cycle =
   if not (fu_free t ~cluster ~fu ~cycle) then
     invalid_arg "Mrt.reserve_fu: slot not free";
   let c = slot t cycle in
-  let table, _ = table_and_limit t fu in
+  let table = fu_table t fu in
   table.(cluster).(c) <- table.(cluster).(c) + 1;
   t.issue_used.(cluster).(c) <- t.issue_used.(cluster).(c) + 1;
-  t.loads.(cluster) <- t.loads.(cluster) + 1
+  t.loads.(cluster) <- t.loads.(cluster) + 1;
+  push t ~kind:(fu_kind fu) ~cluster ~slot:c
 
 let issue_free t ~cluster ~cycle =
   let c = slot t cycle in
@@ -68,25 +99,22 @@ let reserve_issue t ~cluster ~cycle =
     invalid_arg "Mrt.reserve_issue: no slot free";
   let c = slot t cycle in
   t.issue_used.(cluster).(c) <- t.issue_used.(cluster).(c) + 1;
-  t.loads.(cluster) <- t.loads.(cluster) + 1
+  t.loads.(cluster) <- t.loads.(cluster) + 1;
+  push t ~kind:k_issue ~cluster ~slot:c
 
 (* Buses run at half frequency: a transfer starting at cycle c holds a
    bus during c .. c+occupancy-1.  With II < occupancy the window wraps
    and charges a slot more than once — that is correct: successive
    iterations' transfers are simultaneously in flight and alternate over
    the [n_reg_buses] physical buses, so per-slot usage is bounded by the
-   bus count. *)
-(* Returns t.bus_scratch — valid only until the next call.  Both callers
-   consume the array before probing again, and an Mrt is never shared
-   across domains, so the single scratch buffer is safe. *)
-let bus_window_usage t ~cycle =
-  let usage = t.bus_scratch in
-  Array.fill usage 0 t.ii 0;
-  for k = 0 to t.cfg.Config.bus_occupancy - 1 do
-    let s = slot t (cycle + k) in
-    usage.(s) <- usage.(s) + 1
-  done;
-  usage
+   bus count.  Only the first min(occupancy, II) window positions are
+   distinct slots: with q = occupancy / II and r = occupancy mod II,
+   positions 0 .. r-1 are charged q + 1 and the rest q. *)
+let bus_positions t = min t.cfg.Config.bus_occupancy t.ii
+
+let bus_charge t k =
+  let occ = t.cfg.Config.bus_occupancy in
+  if k < occ mod t.ii then (occ / t.ii) + 1 else occ / t.ii
 
 (* Per-domain count of bus-window rejections, read as a delta around a
    whole compile (see Pipeline.compile).  [reg_bus_free] is the only
@@ -100,69 +128,56 @@ let bus_rejections_key = Domain.DLS.new_key (fun () -> ref 0)
 let bus_rejections () = !(Domain.DLS.get bus_rejections_key)
 
 let reg_bus_free t ~cycle =
-  let usage = bus_window_usage t ~cycle in
-  let ok = ref true in
-  Array.iteri
-    (fun s u ->
-      if u > 0 && t.bus_used.(s) + u > t.cfg.Config.n_reg_buses then ok := false)
-    usage;
+  let limit = t.cfg.Config.n_reg_buses and s0 = slot t cycle in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < bus_positions t do
+    if t.bus_used.((s0 + !k) mod t.ii) + bus_charge t !k > limit then
+      ok := false;
+    incr k
+  done;
   if not !ok then incr (Domain.DLS.get bus_rejections_key);
   !ok
+
+(* Add [sign] times a transfer's window charges, starting at [slot]. *)
+let charge_bus t ~slot:s ~sign =
+  for k = 0 to bus_positions t - 1 do
+    let s = (s + k) mod t.ii in
+    t.bus_used.(s) <- t.bus_used.(s) + (sign * bus_charge t k)
+  done
 
 let reserve_reg_bus t ~cycle =
   if not (reg_bus_free t ~cycle) then
     invalid_arg "Mrt.reserve_reg_bus: no bus free";
-  Array.iteri
-    (fun s u -> t.bus_used.(s) <- t.bus_used.(s) + u)
-    (bus_window_usage t ~cycle)
+  let s = slot t cycle in
+  charge_bus t ~slot:s ~sign:1;
+  push t ~kind:k_bus ~cluster:0 ~slot:s
 
 let cluster_load t c = t.loads.(c)
 
-type snapshot = {
-  s_int : int array array;
-  s_fp : int array array;
-  s_mem : int array array;
-  s_issue : int array array;
-  s_bus : int array;
-  s_loads : int array;
-}
+type snapshot = int
 
-let copy_matrix m = Array.map Array.copy m
+let snapshot t = t.journal_len
 
-let make_snapshot t =
-  {
-    s_int = copy_matrix t.int_used;
-    s_fp = copy_matrix t.fp_used;
-    s_mem = copy_matrix t.mem_used;
-    s_issue = copy_matrix t.issue_used;
-    s_bus = Array.copy t.bus_used;
-    s_loads = Array.copy t.loads;
-  }
-
-(* Overwrite [s] with the current state: the scheduler snapshots before
-   every placement probe, so reusing one buffer per attempt instead of
-   allocating six fresh arrays per probe keeps the inner search loop
-   allocation-free. *)
-let save t s =
-  let blit_matrix src dst =
-    Array.iteri (fun i row -> Array.blit row 0 dst.(i) 0 (Array.length row)) src
-  in
-  blit_matrix t.int_used s.s_int;
-  blit_matrix t.fp_used s.s_fp;
-  blit_matrix t.mem_used s.s_mem;
-  blit_matrix t.issue_used s.s_issue;
-  Array.blit t.bus_used 0 s.s_bus 0 (Array.length t.bus_used);
-  Array.blit t.loads 0 s.s_loads 0 (Array.length t.loads)
-
-let snapshot t = make_snapshot t
-
-let restore t s =
-  let blit_matrix src dst =
-    Array.iteri (fun i row -> Array.blit row 0 dst.(i) 0 (Array.length row)) src
-  in
-  blit_matrix s.s_int t.int_used;
-  blit_matrix s.s_fp t.fp_used;
-  blit_matrix s.s_mem t.mem_used;
-  blit_matrix s.s_issue t.issue_used;
-  Array.blit s.s_bus 0 t.bus_used 0 (Array.length s.s_bus);
-  Array.blit s.s_loads 0 t.loads 0 (Array.length s.s_loads)
+let restore t mark =
+  if mark < 0 || mark > t.journal_len then
+    invalid_arg "Mrt.restore: mark beyond the journal";
+  let n_clusters = t.cfg.Config.n_clusters in
+  while t.journal_len > mark do
+    t.journal_len <- t.journal_len - 1;
+    let e = t.journal.(t.journal_len) in
+    let kind = e mod n_kinds and rest = e / n_kinds in
+    let cluster = rest mod n_clusters and s = rest / n_clusters in
+    if kind = k_bus then charge_bus t ~slot:s ~sign:(-1)
+    else begin
+      if kind <> k_issue then begin
+        let table =
+          if kind = k_int then t.int_used
+          else if kind = k_fp then t.fp_used
+          else t.mem_used
+        in
+        table.(cluster).(s) <- table.(cluster).(s) - 1
+      end;
+      t.issue_used.(cluster).(s) <- t.issue_used.(cluster).(s) - 1;
+      t.loads.(cluster) <- t.loads.(cluster) - 1
+    end
+  done

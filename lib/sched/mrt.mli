@@ -50,17 +50,14 @@ val cluster_load : t -> int -> int
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture the full reservation state (cheap: the table is tiny). *)
-
-val make_snapshot : t -> snapshot
-(** Allocate a snapshot buffer sized for [t] holding the current state.
-    Combine with {!save} to reuse one buffer across many probes instead
-    of allocating per probe. *)
-
-val save : t -> snapshot -> unit
-(** Overwrite an existing snapshot with the current state.  The snapshot
-    must have been created from an Mrt of the same shape. *)
+(** A mark in the table's undo journal: every reservation pushes one
+    entry, so taking a mark is O(1) and allocates nothing. *)
 
 val restore : t -> snapshot -> unit
-(** Roll back to a snapshot — used when a placement attempt reserved
-    copy resources and then failed on a later constraint. *)
+(** Undo every reservation made since the mark, in O(reservations since
+    the mark) — used when a placement attempt reserved copy resources
+    and then failed on a later constraint.  Marks are LIFO: restoring to
+    a mark keeps it (and every earlier mark) valid for further
+    reservations and restores, but invalidates the marks taken after it.
+    @raise Invalid_argument if the mark lies beyond the journal's current
+    length (a later mark after an earlier one was restored). *)

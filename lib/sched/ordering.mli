@@ -7,14 +7,25 @@
       only predecessors or only successors among the already-ordered
       nodes, which keeps lifetimes (register pressure) low.
 
-    SCC priorities depend only on the latencies, not on the candidate
-    II, so they are computed once ({!prepare}) and reused across the II
-    escalation loop. *)
+    Everything that depends only on the latencies, not on the candidate
+    II, is computed once ({!prepare}) and reused across the II
+    escalation loop: the SCC priorities and, for each SCC set in
+    priority order, the group of nodes ordered with it.  Per II,
+    {!ordered} computes only the depths and runs the directional
+    sweeps. *)
 
 type prepared
 
 val prepare : Vliw_ir.Ddg.t -> latency:(int -> int) -> prepared
-(** SCC decomposition plus per-SCC RecMII priorities. *)
+(** SCC decomposition, per-SCC RecMII priorities, and the groups: each
+    SCC set (minus nodes an earlier group took) together with the
+    not-yet-grouped nodes on paths between it and the earlier groups.
+    @raise Vliw_ir.Mii.Infeasible on a zero-distance positive cycle. *)
+
+val rec_mii : prepared -> int
+(** The loop's RecMII, the max of the recurrence priorities held by
+    {!prepare} (1 if the loop has none) — equal to
+    {!Vliw_ir.Mii.rec_mii} without a second SCC and RecMII pass. *)
 
 val ordered : prepared -> Vliw_ir.Ddg.t -> latency:(int -> int) -> ii:int -> int list
 (** A permutation of [0 .. n_ops-1] in scheduling order for one II

@@ -184,6 +184,135 @@ let prop_mii_matches_spec =
           agree && lower 6 ii)
         (Scc.recurrences g))
 
+(* [Mrt] against the full-copy spec over random interleavings of
+   reservations, nested marks and LIFO restores.  The machine is drawn
+   too — bus occupancy 1..4 with II from 1 to occupancy + 2, so bus
+   windows wrap, charge one slot several times, or not at all — and
+   after every step every probe at every cycle in [-2*II, 2*II] and
+   every cluster load must agree, as must the rejection counts. *)
+let prop_mrt_matches_spec =
+  make_test ~name:"MRT undo journal matches the full-copy spec" (fun seed ->
+      let module Mrt = Vliw_sched.Mrt in
+      let rng = Random.State.make [| seed |] in
+      let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+      let occupancy = 1 + gen_int 3 in
+      let cfg =
+        {
+          cfg with
+          Config.n_clusters = 1 lsl gen_int 2;
+          int_fus_per_cluster = 1 + gen_int 1;
+          issue_width_per_cluster = 1 + gen_int 3;
+          n_reg_buses = 1 + gen_int 3;
+          bus_occupancy = occupancy;
+        }
+      in
+      let ii = 1 + gen_int (occupancy + 1) in
+      let mrt = Mrt.create cfg ~ii and spec = Mrt_spec.create cfg ~ii in
+      let rejections0 = Mrt.bus_rejections () in
+      let fus = Resources.fu_classes in
+      let clusters = List.init cfg.Config.n_clusters Fun.id in
+      let cycles = List.init ((4 * ii) + 1) (fun k -> k - (2 * ii)) in
+      let agree () =
+        List.for_all
+          (fun cycle ->
+            Mrt.reg_bus_free mrt ~cycle = Mrt_spec.reg_bus_free spec ~cycle
+            && List.for_all
+                 (fun cluster ->
+                   Mrt.issue_free mrt ~cluster ~cycle
+                   = Mrt_spec.issue_free spec ~cluster ~cycle
+                   && List.for_all
+                        (fun fu ->
+                          Mrt.fu_free mrt ~cluster ~fu ~cycle
+                          = Mrt_spec.fu_free spec ~cluster ~fu ~cycle)
+                        fus)
+                 clusters)
+          cycles
+        && List.for_all
+             (fun c -> Mrt.cluster_load mrt c = Mrt_spec.cluster_load spec c)
+             clusters
+        && Mrt.bus_rejections () - rejections0 = spec.Mrt_spec.rejections
+      in
+      (* Marks taken and not yet rolled past, innermost first. *)
+      let marks = ref [] in
+      let step () =
+        let cycle = gen_int (6 * ii) - (3 * ii) in
+        let cluster = gen_int (cfg.Config.n_clusters - 1) in
+        match gen_int 9 with
+        | 0 | 1 ->
+            let fu = List.nth fus (gen_int 2) in
+            if Mrt.fu_free mrt ~cluster ~fu ~cycle then begin
+              Mrt.reserve_fu mrt ~cluster ~fu ~cycle;
+              Mrt_spec.reserve_fu spec ~cluster ~fu ~cycle
+            end
+        | 2 ->
+            if Mrt.issue_free mrt ~cluster ~cycle then begin
+              Mrt.reserve_issue mrt ~cluster ~cycle;
+              Mrt_spec.reserve_issue spec ~cluster ~cycle
+            end
+        | 3 | 4 ->
+            let free = Mrt.reg_bus_free mrt ~cycle in
+            if Mrt_spec.reg_bus_free spec ~cycle && free then begin
+              Mrt.reserve_reg_bus mrt ~cycle;
+              Mrt_spec.reserve_reg_bus spec ~cycle
+            end
+        | 5 | 6 -> marks := (Mrt.snapshot mrt, Mrt_spec.snapshot spec) :: !marks
+        | _ -> (
+            (* Roll back to a random live mark; the ones above it die,
+               it stays live for further restores. *)
+            match !marks with
+            | [] -> ()
+            | live ->
+                let rec drop k = function
+                  | _ :: rest when k > 0 -> drop (k - 1) rest
+                  | l -> l
+                in
+                marks := drop (gen_int (List.length live - 1)) live;
+                let m, s = List.hd !marks in
+                Mrt.restore mrt m;
+                Mrt_spec.restore spec s)
+      in
+      let rec run k = k = 0 || (step (); agree () && run (k - 1)) in
+      run 80)
+
+(* [Ordering] against the per-II path-closure spec: random loops and
+   their x2..x8 unrolls at II from MII to MII+4, and the RecMII its
+   [prepare] keeps against [Mii.rec_mii]. *)
+let ordering_matches_spec g ~latency =
+  let prepared = Ordering.prepare g ~latency in
+  let mii = Resources.mii cfg g ~latency in
+  Ordering.rec_mii prepared = Mii.rec_mii g ~latency
+  && List.for_all
+       (fun ii ->
+         let spec = Ordering_spec.order g ~latency ~ii in
+         Ordering.ordered prepared g ~latency ~ii = spec
+         && Ordering.order g ~latency ~ii = spec)
+       (List.init 5 (fun k -> mii + k))
+
+let prop_ordering_matches_spec =
+  make_test ~name:"SMS ordering matches the per-II spec" (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let g = build_random_ddg rng in
+      let factor = 2 + QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound 6) in
+      List.for_all
+        (fun g -> ordering_matches_spec g ~latency:(Ddg.default_latency g))
+        [ g; Unroll.ddg g ~factor ])
+
+(* The same agreement on every loop of the benchmark suite. *)
+let test_ordering_suite_matches_spec =
+  Alcotest.test_case "SMS ordering matches the spec on every suite loop"
+    `Quick (fun () ->
+      List.iter
+        (fun bench ->
+          List.iter
+            (fun (loop : Loop.t) ->
+              let g = loop.Loop.ddg in
+              Alcotest.(check bool)
+                (loop.Loop.name ^ " ordering matches the spec")
+                true
+                (ordering_matches_spec g ~latency:(Ddg.default_latency g)))
+            (Vliw_workloads.Benchspec.loops bench))
+        Vliw_workloads.Mediabench.all)
+
 (* LRU set-associative array vs. a naive reference model. *)
 let prop_set_assoc_matches_reference =
   make_test ~name:"set-assoc array matches a reference LRU model"
@@ -297,6 +426,9 @@ let suite =
     prop_unroll_preserves_mii_scaled;
     prop_mii_monotone;
     prop_mii_matches_spec;
+    prop_mrt_matches_spec;
+    prop_ordering_matches_spec;
+    test_ordering_suite_matches_spec;
     prop_set_assoc_matches_reference;
     prop_expected_stall_monotone;
     prop_assignment_within_ladder;

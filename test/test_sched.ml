@@ -113,10 +113,9 @@ let test_mrt_bus_wrap () =
     (Mrt.reg_bus_free mrt ~cycle:0)
 
 let test_mrt_bus_scratch_reuse () =
-  (* Regression for the allocation-free bus_window_usage: interleaved
-     probes at different cycles must not corrupt each other's accounting
-     (the scratch buffer is refilled per call), and wrap-around charging
-     is unchanged. *)
+  (* Interleaved probes at different cycles must not corrupt each
+     other's accounting (a probe only reads the table), and wrap-around
+     charging holds when a window covers every slot. *)
   let mrt = Mrt.create cfg ~ii:2 in
   (* Occupancy 2 at II=2: every transfer covers both slots, regardless
      of its start cycle. *)
@@ -149,6 +148,37 @@ let test_mrt_snapshot () =
     (Mrt.fu_free mrt ~cluster:0 ~fu:Opcode.Int_fu ~cycle:0);
   check cb "bus restored" true (Mrt.reg_bus_free mrt ~cycle:0);
   check ci "load restored" 0 (Mrt.cluster_load mrt 0)
+
+let test_mrt_restore_wrapped_nested () =
+  (* II=1 < occupancy 2: every transfer charges the single slot twice,
+     so two transfers saturate the 4 buses. *)
+  let mrt = Mrt.create cfg ~ii:1 in
+  let outer = Mrt.snapshot mrt in
+  Mrt.reserve_reg_bus mrt ~cycle:0;
+  Mrt.reserve_issue mrt ~cluster:1 ~cycle:0;
+  let inner = Mrt.snapshot mrt in
+  Mrt.reserve_reg_bus mrt ~cycle:3;
+  Mrt.reserve_fu mrt ~cluster:1 ~fu:Opcode.Int_fu ~cycle:0;
+  check cb "two wrapped transfers saturate" false (Mrt.reg_bus_free mrt ~cycle:0);
+  Mrt.restore mrt inner;
+  check cb "inner restore frees one wrapped transfer" true
+    (Mrt.reg_bus_free mrt ~cycle:0);
+  check ci "inner restore keeps the outer issue slot" 1 (Mrt.cluster_load mrt 1);
+  check cb "fu freed" true (Mrt.fu_free mrt ~cluster:1 ~fu:Opcode.Int_fu ~cycle:0);
+  (* The inner mark stays valid for another probe and rollback. *)
+  Mrt.reserve_reg_bus mrt ~cycle:1;
+  check cb "saturated again" false (Mrt.reg_bus_free mrt ~cycle:0);
+  Mrt.restore mrt inner;
+  check cb "rolled back again" true (Mrt.reg_bus_free mrt ~cycle:0);
+  Mrt.restore mrt outer;
+  check ci "outer restore clears the load" 0 (Mrt.cluster_load mrt 1);
+  Mrt.reserve_reg_bus mrt ~cycle:0;
+  check cb "outer restore frees both wrapped charges" true
+    (Mrt.reg_bus_free mrt ~cycle:0);
+  Mrt.restore mrt outer;
+  Alcotest.check_raises "a mark rolled past is dead"
+    (Invalid_argument "Mrt.restore: mark beyond the journal") (fun () ->
+      Mrt.restore mrt inner)
 
 (* ------------------------------------------------------------ ordering *)
 
@@ -437,6 +467,8 @@ let suite =
     ("mrt: bus scratch reuse keeps wrap accounting", `Quick,
      test_mrt_bus_scratch_reuse);
     ("mrt: snapshot/restore", `Quick, test_mrt_snapshot);
+    ("mrt: nested marks undo wrapped bus windows", `Quick,
+     test_mrt_restore_wrapped_nested);
     ("ordering: permutation", `Quick, test_ordering_permutation);
     ("ordering: recurrences first", `Quick, test_ordering_recurrence_first);
     ("ordering: neighbour property", `Quick, test_ordering_neighbour_property);
