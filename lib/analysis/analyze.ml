@@ -78,7 +78,11 @@ let analyze_bench cfg ~seed (bench : WL.Benchspec.t) =
   let exec_layout =
     WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Execution_run ~seed
   in
-  let profiler = WL.Profiling.profiler cfg profile_layout in
+  (* One profile table for the benchmark, shared by every target: a
+     profile does not depend on the target. *)
+  let profiler =
+    WL.Profiling.memoized ~memo:(WL.Profiling.table_memo ()) cfg profile_layout
+  in
   let diags = ref [] in
   let loops = ref 0 in
   let cells = ref 0 in
@@ -86,10 +90,11 @@ let analyze_bench cfg ~seed (bench : WL.Benchspec.t) =
   List.iter
     (fun (target, archs) ->
       let compiled =
-        List.map
-          (fun loop ->
+        List.mapi
+          (fun index loop ->
             Pipeline.compile cfg ~target
-              ~strategy:Vliw_core.Unroll_select.Selective ~profiler loop)
+              ~strategy:Vliw_core.Unroll_select.Selective
+              ~profiler:(profiler ~index loop) loop)
           (WL.Benchspec.loops bench)
       in
       (* Static locality bounds, per compiled loop: computed once here,

@@ -62,14 +62,19 @@ let explain_bench cfg ~seed ?oracle_budget
   let exec_layout =
     WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Execution_run ~seed
   in
-  let profiler = WL.Profiling.profiler cfg profile_layout in
+  (* One profile table for the benchmark, shared by every target: a
+     profile does not depend on the target. *)
+  let profiler =
+    WL.Profiling.memoized ~memo:(WL.Profiling.table_memo ()) cfg profile_layout
+  in
   List.concat_map
     (fun target ->
-      List.map
-        (fun loop ->
+      List.mapi
+        (fun index loop ->
           let c =
             Pipeline.compile cfg ~target
-              ~strategy:Vliw_core.Unroll_select.Selective ~profiler loop
+              ~strategy:Vliw_core.Unroll_select.Selective
+              ~profiler:(profiler ~index loop) loop
           in
           let where =
             Printf.sprintf "%s/%s[%s]" bench.WL.Benchspec.name

@@ -92,6 +92,13 @@ let validate t =
    representation: two configs digest equal iff every field is equal. *)
 let fingerprint t = Digest.to_hex (Digest.string (Marshal.to_string t []))
 
+(* Exactly the fields [Layout.create] and [Profiling.profile_loop] read:
+   clusters and interleaving (through [max_unroll] and
+   [cluster_of_addr]) and the cache geometry of the presence model. *)
+let profile_fingerprint t =
+  Printf.sprintf "c%d·i%d·s%d·b%d·a%d" t.n_clusters t.interleaving_factor
+    t.cache_size t.block_size t.associativity
+
 (* Only the dimensions the scheduler can see: cluster count,
    interleaving factor, bus count and occupancy identify a plan group
    of the design-space sweep (cache geometry and AB shape are

@@ -56,6 +56,17 @@ val fingerprint : t -> string
     configurations are equal.  Used to key compilation memos so entries
     can never be reused across differing machine configs. *)
 
+val profile_fingerprint : t -> string
+(** The projection of a configuration onto the fields a profile run
+    depends on — cluster count, interleaving factor, cache size, block
+    size and associativity
+    ([c<clusters>·i<interleave>·s<size>·b<block>·a<ways>]).  Two configs
+    with equal projections give equal
+    {!Vliw_workloads.Profiling.profile_loop} results under layouts of
+    equal alignment, run and seed, which is what lets the experiment
+    context share profiles across configs that differ only in buses,
+    latencies or AB shape. *)
+
 val short_name : t -> string
 (** Compact label over the schedule-relevant dimensions only
     ([c<clusters>·i<interleave>·b<reg buses>·o<occupancy>]) — the

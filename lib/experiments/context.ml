@@ -7,7 +7,7 @@ module Schedule = Vliw_sched.Schedule
 module WL = Vliw_workloads
 module Sim = Vliw_sim
 
-(* Both memos are shared by every worker domain of the parallel
+(* Every memo is shared by every worker domain of the parallel
    experiment engine; Vliw_parallel.Memo provides the sharded,
    single-flight concurrency discipline (no key is ever computed
    twice, waiters block per shard rather than on one global lock). *)
@@ -20,6 +20,9 @@ type t = {
   oracles : Vliw_analysis.Oracle.certification Memo.t;
       (* exact-II certifications, keyed by
          bench/loop/target/seed/budget/config — see Explain.explain_bench *)
+  profiles : Vliw_core.Profile.t Memo.t;
+      (* profile runs, keyed by bench/alignment/seed/profile fingerprint
+         and Profiling.memoized's loop index and unroll factor *)
 }
 
 (* Default memo bounds: far above what any single-figure run touches
@@ -30,6 +33,7 @@ type t = {
 let default_compile_cap = 1024
 let default_trace_cap = 8192
 let default_oracle_cap = 1024
+let default_profile_cap = 4096
 
 let create ?(cfg = Config.default) ?(seed = 7)
     ?(compile_cap = default_compile_cap) ?(trace_cap = default_trace_cap) () =
@@ -39,6 +43,7 @@ let create ?(cfg = Config.default) ?(seed = 7)
     compiles = Memo.create ~cap:compile_cap ();
     traces = Memo.create ~cap:trace_cap ();
     oracles = Memo.create ~cap:default_oracle_cap ();
+    profiles = Memo.create ~cap:default_profile_cap ();
   }
 
 let cfg t = t.cfg
@@ -82,15 +87,26 @@ let cache_key t bench spec =
     spec.aligned t.seed
     (Config.fingerprint t.cfg)
 
+(* A profile depends on the loop, its unroll factor, the profile-run
+   layout and the cache geometry — not on the target, chains, unroll
+   strategy, latencies or buses — so its key carries only those, and
+   every spec and every [with_cfg] sibling of equal geometry shares it. *)
 let compile_uncached t bench spec =
   let layout =
     WL.Layout.create t.cfg ~aligned:spec.aligned ~run:WL.Layout.Profile_run
       ~seed:t.seed
   in
-  let profiler = WL.Profiling.profiler t.cfg layout in
-  List.map
-    (Pipeline.compile t.cfg ~target:spec.target ~strategy:spec.strategy
-       ~profiler)
+  let scope =
+    Printf.sprintf "%s|aligned=%b|seed=%d|pcfg=%s|" bench.WL.Benchspec.name
+      spec.aligned t.seed
+      (Config.profile_fingerprint t.cfg)
+  in
+  let memo key f = Memo.get t.profiles (scope ^ key) f in
+  List.mapi
+    (fun index source ->
+      Pipeline.compile t.cfg ~target:spec.target ~strategy:spec.strategy
+        ~profiler:(WL.Profiling.memoized ~memo t.cfg layout ~index source)
+        source)
     (WL.Benchspec.loops bench)
 
 let compiled t bench spec =

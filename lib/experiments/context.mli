@@ -6,8 +6,17 @@
     memoized per context on a thread-safe sharded single-flight table
     ({!Vliw_parallel.Memo}); a second table memoizes each compiled
     plan's execution-run address trace, so repeated sweeps over the
-    same plan skip re-deriving the address stream.  One context can be
-    shared by all worker domains of the parallel experiment engine.
+    same plan skip re-deriving the address stream; a third holds exact-II
+    oracle certifications ({!oracle_memo}).  A fourth, the profile memo,
+    runs each profile once: its key is the benchmark, the source loop's
+    index, the unroll factor, the alignment, the seed and
+    {!Vliw_arch.Config.profile_fingerprint} — exactly what a profile
+    depends on — so every spec of a benchmark, and every {!with_cfg}
+    sibling that differs only outside the cache geometry (buses,
+    occupancy, latencies, AB shape), shares one profile per (loop,
+    factor).  It has a fixed cap of 4096 entries and stays out of
+    {!memo_stats}.  One context can be shared by all worker domains of
+    the parallel experiment engine.
 
     Every simulation goes through {!run_batch}: the executor traverses
     the plan once and dispatches each resolved address to every cell,

@@ -71,3 +71,22 @@ let profile_loop (cfg : Config.t) layout (loop : Loop.t) =
   profile
 
 let profiler = profile_loop
+
+let memoized ~memo cfg layout ~index (source : Loop.t) (loop : Loop.t) =
+  let n = Ddg.n_ops source.Loop.ddg and m = Ddg.n_ops loop.Loop.ddg in
+  let factor = m / max 1 n in
+  if m <> n * factor then
+    invalid_arg "Profiling.memoized: not an unroll of the source loop";
+  memo
+    (Printf.sprintf "loop=%d|x%d" index factor)
+    (fun () -> profile_loop cfg layout loop)
+
+let table_memo () =
+  let table = Hashtbl.create 16 in
+  fun key compute ->
+    match Hashtbl.find_opt table key with
+    | Some p -> p
+    | None ->
+        let p = compute () in
+        Hashtbl.add table key p;
+        p

@@ -29,6 +29,51 @@ let test_context_caching () =
   let b = Context.compiled ctx (bench "gsmdec") spec in
   check cb "same compilation object" true (a == b)
 
+(* The profile memo: a profile depends on the loop, its unroll factor and
+   the cache geometry, so specs of one benchmark and config siblings that
+   differ only in buses share the very same profile value, while another
+   cache size gets its own — and every profile, shared or not, is the one
+   a fresh profile run under its own config produces. *)
+let test_profiles_shared () =
+  let ctx = Context.create () in
+  let b = bench "gsmdec" in
+  let cfg = Context.cfg ctx in
+  let compile cfg heuristic =
+    (cfg, Context.compiled (Context.with_cfg ctx cfg) b (Context.interleaved heuristic))
+  in
+  let ibc = compile cfg `Ibc and ipbc = compile cfg `Ipbc in
+  let buses = compile { cfg with Config.n_reg_buses = 2 } `Ipbc in
+  let cache = compile { cfg with Config.cache_size = 2 * cfg.Config.cache_size } `Ipbc in
+  let pairs (_, xs) (_, ys) =
+    List.filter
+      (fun ((x : Pipeline.compiled), (y : Pipeline.compiled)) ->
+        x.Pipeline.unroll_factor = y.Pipeline.unroll_factor)
+      (List.combine xs ys)
+  in
+  let shared (x, y) = x.Pipeline.profile == y.Pipeline.profile in
+  let same = pairs ibc ipbc in
+  check cb "IBC and IPBC agree on some factor" true (same <> []);
+  check cb "IBC and IPBC share profiles" true (List.for_all shared same);
+  let bus_pairs = pairs ipbc buses in
+  check cb "bus sibling agrees on some factor" true (bus_pairs <> []);
+  check cb "bus sibling shares profiles" true (List.for_all shared bus_pairs);
+  check cb "cache-size sibling profiles its own" true
+    (not (List.exists shared (List.combine (snd ipbc) (snd cache))));
+  List.iter
+    (fun (cfg, cs) ->
+      let layout =
+        WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Profile_run ~seed:7
+      in
+      List.iter
+        (fun (c : Pipeline.compiled) ->
+          check cb
+            (c.Pipeline.loop.Vliw_ir.Loop.name ^ " profile is a fresh profile run")
+            true
+            (c.Pipeline.profile
+            = WL.Profiling.profile_loop cfg layout c.Pipeline.loop))
+        cs)
+    [ ibc; ipbc; buses; cache ]
+
 let test_unrolling_raises_local_hits () =
   List.iter
     (fun name ->
@@ -222,6 +267,8 @@ let test_worked_example_full () =
 let suite =
   [
     ("context: compilation caching", `Quick, test_context_caching);
+    ("context: profiles shared across specs and bus siblings", `Quick,
+     test_profiles_shared);
     ("claim: unrolling raises local hits", `Slow, test_unrolling_raises_local_hits);
     ("claim: alignment raises local hits", `Slow, test_alignment_raises_local_hits);
     ("claim: chains cost local hits", `Slow, test_chains_cost_local_hits);

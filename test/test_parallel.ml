@@ -243,12 +243,18 @@ let test_memo_cap_contention () =
     (s.Vliw_parallel.Memo.evictions > 0)
 
 let test_context_memo_stats_surface () =
-  (* Context surfaces its two memo tables' counters for the sweep's
-     --json output. *)
+  (* Context surfaces its memo tables' counters for the sweep's --json
+     output and the service's health/drain responses — exactly these
+     three, in this order (the profile memo stays out, so both stay
+     byte-identical). *)
   let ctx = Context.create () in
   let spec = Context.interleaved `Ipbc in
   ignore (Context.compiled ctx (bench "gsmdec") spec);
   ignore (Context.compiled ctx (bench "gsmdec") spec);
+  check
+    Alcotest.(list string)
+    "memo labels" [ "compiles"; "traces"; "oracles" ]
+    (List.map fst (Context.memo_stats ctx));
   match List.assoc_opt "compiles" (Context.memo_stats ctx) with
   | None -> Alcotest.fail "no 'compiles' entry in memo_stats"
   | Some s ->

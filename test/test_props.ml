@@ -313,13 +313,16 @@ let test_ordering_suite_matches_spec =
             (Vliw_workloads.Benchspec.loops bench))
         Vliw_workloads.Mediabench.all)
 
-(* LRU set-associative array vs. a naive reference model. *)
+(* LRU set-associative array vs. a naive reference model, over random
+   shapes and the whole interface: the victim [insert] reports must be
+   the reference's least-recently-used key, and invalidation holes must
+   be refilled before anything is evicted. *)
 let prop_set_assoc_matches_reference =
   make_test ~name:"set-assoc array matches a reference LRU model"
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
-      let sets = 2 and ways = 2 in
+      let sets = 1 + gen_int 7 and ways = 1 + gen_int 3 in
       let t = Set_assoc.create ~sets ~ways in
       (* reference: per set, most-recent-first list of keys *)
       let reference = Array.make sets [] in
@@ -333,26 +336,178 @@ let prop_set_assoc_matches_reference =
       in
       let ref_insert key =
         let s = key mod sets in
-        if not (ref_lookup key) then
-          reference.(s) <-
-            key
-            :: (if List.length reference.(s) >= ways then
-                  List.filteri (fun i _ -> i < ways - 1) reference.(s)
-                else reference.(s))
+        if ref_lookup key then None
+        else if List.length reference.(s) >= ways then begin
+          let keep = List.filteri (fun i _ -> i < ways - 1) reference.(s) in
+          let victim = List.nth reference.(s) (ways - 1) in
+          reference.(s) <- key :: keep;
+          Some victim
+        end
+        else begin
+          reference.(s) <- key :: reference.(s);
+          None
+        end
+      in
+      let ref_occupancy () =
+        Array.fold_left (fun acc l -> acc + List.length l) 0 reference
       in
       let ok = ref true in
-      for _ = 1 to 200 do
-        let key = gen_int 11 in
-        match gen_int 2 with
-        | 0 -> if Set_assoc.lookup t key <> ref_lookup key then ok := false
-        | 1 ->
-            ignore (Set_assoc.insert t key);
-            ref_insert key
-        | _ ->
-            if Set_assoc.contains t key <> List.mem key (reference.(key mod sets))
-            then ok := false
+      let expect b = if not b then ok := false in
+      for _ = 1 to 300 do
+        let key = gen_int ((3 * sets * ways) - 1) in
+        match gen_int 19 with
+        | 0 ->
+            Set_assoc.flush t;
+            Array.fill reference 0 sets []
+        | 1 | 2 ->
+            Set_assoc.invalidate t key;
+            reference.(key mod sets) <-
+              List.filter (( <> ) key) reference.(key mod sets)
+        | 3 | 4 -> expect (Set_assoc.occupancy t = ref_occupancy ())
+        | 5 | 6 | 7 ->
+            expect
+              (Set_assoc.contains t key = List.mem key reference.(key mod sets))
+        | 8 | 9 | 10 | 11 | 12 -> expect (Set_assoc.lookup t key = ref_lookup key)
+        | _ -> expect (Set_assoc.insert t key = ref_insert key)
       done;
       !ok)
+
+(* ------------------------------------------- profile projection *)
+
+(* A memory-heavy random loop for the profile run: every access shape the
+   profiler distinguishes — element size, stride (0 = scalar), offset,
+   wrapping footprint (so cache size and associativity decide reuse),
+   indirect walks and all three storage classes (so alignment to N x I
+   moves stack and heap bases). *)
+let random_profile_loop rng =
+  let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+  let pick l = List.nth l (gen_int (List.length l - 1)) in
+  let b = Builder.create () in
+  for _ = 0 to gen_int 6 do
+    if gen_int 3 = 0 then
+      ignore (Builder.add b ~dests:[ Builder.fresh_reg b ] Opcode.Int_alu);
+    let granularity = pick [ 1; 2; 4; 8 ] in
+    ignore
+      (Builder.add b
+         ~dests:[ Builder.fresh_reg b ]
+         ~mem:
+           (Mem_access.make
+              ~storage:(pick Mem_access.[ Global; Stack; Heap ])
+              ~offset:(granularity * gen_int 7)
+              ~indirect:(gen_int 4 = 0)
+              ~footprint:(pick [ 0; 64; 256; 1024; 4096 ])
+              ~symbol:(Printf.sprintf "s%d" (gen_int 3))
+              ~stride:(granularity * gen_int 4)
+              ~granularity ())
+         Opcode.Load)
+  done;
+  Loop.make ~name:"profiled" ~trip_count:(64 * (1 + gen_int 15)) (Builder.build b)
+
+(* What a profile run needs of a config beyond [Config.validate]: a
+   presence model with at least one set of whole ways. *)
+let profilable (c : Config.t) =
+  let n_blocks = c.Config.cache_size / c.Config.block_size in
+  Config.validate c = Ok ()
+  && n_blocks >= c.Config.associativity
+  && n_blocks mod c.Config.associativity = 0
+
+let random_geometry gen_int (c : Config.t) =
+  let pow2 k = 1 lsl k in
+  let n_clusters = pow2 (gen_int 3) and interleaving_factor = pow2 (gen_int 3) in
+  let block_size = n_clusters * interleaving_factor * pow2 (gen_int 2) in
+  let n_blocks = n_clusters * pow2 (1 + gen_int 3) in
+  {
+    c with
+    Config.n_clusters;
+    interleaving_factor;
+    block_size;
+    cache_size = n_blocks * block_size;
+    associativity = min n_blocks (pow2 (gen_int 2));
+  }
+
+(* Every field outside the cache geometry, redrawn so that [b] differs
+   from [a] in each of them and both stay valid. *)
+let redraw_other_fields gen_int (a : Config.t) =
+  let d () = 1 + gen_int 3 in
+  let lat = d () in
+  {
+    a with
+    Config.int_fus_per_cluster = a.Config.int_fus_per_cluster + d ();
+    fp_fus_per_cluster = a.Config.fp_fus_per_cluster + d ();
+    mem_fus_per_cluster = a.Config.mem_fus_per_cluster + d ();
+    issue_width_per_cluster = a.Config.issue_width_per_cluster + d ();
+    n_reg_buses = a.Config.n_reg_buses + d ();
+    n_mem_buses = a.Config.n_mem_buses + d ();
+    bus_occupancy = a.Config.bus_occupancy + d ();
+    reg_copy_latency = a.Config.reg_copy_latency + d ();
+    lat_local_hit = a.Config.lat_local_hit + lat;
+    lat_remote_hit = a.Config.lat_remote_hit + lat;
+    lat_local_miss = a.Config.lat_local_miss + lat;
+    lat_remote_miss = a.Config.lat_remote_miss + lat;
+    lat_unified_fast = a.Config.lat_unified_fast + d ();
+    lat_unified_slow = a.Config.lat_unified_slow + d ();
+    lat_next_level = a.Config.lat_next_level + d ();
+    ab_entries = a.Config.ab_entries * 4;
+    ab_associativity = a.Config.ab_associativity * 2;
+  }
+
+(* One geometry field moved to another valid value (the rest of the
+   geometry kept), or [c] itself when no such move is valid. *)
+let move_one_geometry_field gen_int (c : Config.t) =
+  let scaled v = List.filter (fun v -> v > 0) [ v * 2; v / 2; v * 4; v / 4 ] in
+  let candidates =
+    match gen_int 4 with
+    | 0 -> List.map (fun n_clusters -> { c with Config.n_clusters }) (scaled c.Config.n_clusters)
+    | 1 ->
+        List.map
+          (fun interleaving_factor -> { c with Config.interleaving_factor })
+          (scaled c.Config.interleaving_factor)
+    | 2 -> List.map (fun cache_size -> { c with Config.cache_size }) (scaled c.Config.cache_size)
+    | 3 -> List.map (fun block_size -> { c with Config.block_size }) (scaled c.Config.block_size)
+    | _ ->
+        List.map
+          (fun associativity -> { c with Config.associativity })
+          (scaled c.Config.associativity)
+  in
+  match List.filter profilable candidates with
+  | [] -> c
+  | valid -> List.nth valid (gen_int (List.length valid - 1))
+
+(* Two valid configs that differ in every field outside the cache
+   geometry — and, in two cases of three, in one geometry field too —
+   must profile every loop and its unrolls identically whenever
+   [Config.profile_fingerprint] calls them equal.  This is what lets the
+   experiment context key its profile memo by the fingerprint; a
+   projection that forgets a field the profile run reads pairs up
+   configs whose profiles differ. *)
+let prop_profile_fingerprint =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"profile depends only on the profile fingerprint"
+       QCheck.(make Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+         let a =
+           redraw_other_fields gen_int (random_geometry gen_int Config.default)
+         in
+         let b = redraw_other_fields gen_int a in
+         let b = if gen_int 2 = 0 then b else move_one_geometry_field gen_int b in
+         assert (profilable a && profilable b);
+         let source = random_profile_loop rng in
+         let aligned = gen_int 1 = 0 and seed = gen_int 1000 in
+         let profile cfg loop =
+           Vliw_workloads.Profiling.profile_loop cfg
+             (Vliw_workloads.Layout.create cfg ~aligned
+                ~run:Vliw_workloads.Layout.Profile_run ~seed)
+             loop
+         in
+         Config.profile_fingerprint a <> Config.profile_fingerprint b
+         || List.for_all
+              (fun factor ->
+                let loop = Loop.unrolled source ~factor in
+                profile a loop = profile b loop)
+              [ 1; 2 + gen_int 6 ]))
 
 let prop_expected_stall_monotone =
   make_test ~name:"expected stall decreases as the assigned latency grows"
@@ -430,6 +585,7 @@ let suite =
     prop_ordering_matches_spec;
     test_ordering_suite_matches_spec;
     prop_set_assoc_matches_reference;
+    prop_profile_fingerprint;
     prop_expected_stall_monotone;
     prop_assignment_within_ladder;
     prop_stacked_bar_width;
