@@ -13,41 +13,32 @@
 
 module E = Vliw_experiments
 module Pool = Vliw_parallel.Pool
+module Json = Vliw_report.Json
+module Explain = Vliw_analysis.Explain
+module Oracle = Vliw_analysis.Oracle
+module Serve = Vliw_service.Serve
+module Concsan = Vliw_concsan.Concsan
 
 let ppf = Format.std_formatter
 
 let banner name =
   Format.fprintf ppf "@.==== %s ====@.@." name
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler pipeline (engineering
-   bench; not a paper artefact). *)
-
 (* ------------------------------------------------ BENCH_compile.json *)
 
 (* Machine-readable perf trajectory: bechamel's ns/run per compile-path
-   micro-benchmark plus the end-to-end wall-clock of fig4 at jobs=1 and
-   jobs=N.  Future PRs compare against this file to catch compile-path
-   regressions (> 5% on the bechamel side) and parallel-runner
-   regressions. *)
+   micro-benchmark plus the end-to-end wall-clock of the figure suite,
+   the sweeps, the analyzers, the oracle, the service and the
+   concurrency sanitizer.  Each run compares itself against the
+   committed file's values to catch regressions. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let baseline_path = "BENCH_compile.json"
 
-(* Render fig4 into a buffer on a fresh context (so compilation cost is
-   included both times) and return (wall-clock seconds, output). *)
-let timed_fig4 ~jobs =
+(* Run [f] on a buffer formatter with [jobs] worker domains, restoring
+   the previous setting afterwards, and return (wall-clock seconds, f's
+   result, what f printed).  The default of one job makes a figure track
+   single-core cost, not pool scaling. *)
+let timed ?(jobs = 1) f =
   let saved = Pool.default_jobs () in
   Pool.set_default_jobs jobs;
   Fun.protect
@@ -55,85 +46,10 @@ let timed_fig4 ~jobs =
     (fun () ->
       let buf = Buffer.create 65536 in
       let bppf = Format.formatter_of_buffer buf in
-      let ctx = E.Context.create () in
       let t0 = Unix.gettimeofday () in
-      E.Fig4.run bppf ctx;
+      let r = f bppf in
       Format.pp_print_flush bppf ();
-      (Unix.gettimeofday () -. t0, Buffer.contents buf))
-
-(* The full static-analysis sweep (all benchmarks x backends x
-   heuristics), sequential so the number tracks single-core analyzer
-   cost, not pool scaling. *)
-let timed_analyze () =
-  let saved = Pool.default_jobs () in
-  Pool.set_default_jobs 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs saved)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      let bppf = Format.formatter_of_buffer buf in
-      let t0 = Unix.gettimeofday () in
-      let summary = Vliw_analysis.Analyze.run_all bppf in
-      Format.pp_print_flush bppf ();
-      (Unix.gettimeofday () -. t0, summary))
-
-(* The batched sweep the tentpole targets: fig6 (AB on/off x heuristics)
-   plus the traffic ablation on a fresh context at jobs=1, so the number
-   tracks the single-core cost of one compile of every swept plan plus
-   the batched simulations — the end-to-end figure the >=2x acceptance
-   criterion is stated against. *)
-let timed_sweep () =
-  let saved = Pool.default_jobs () in
-  Pool.set_default_jobs 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs saved)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      let bppf = Format.formatter_of_buffer buf in
-      let ctx = E.Context.create () in
-      let t0 = Unix.gettimeofday () in
-      E.Fig6.run bppf ctx;
-      E.Ablation_traffic.run bppf ctx;
-      Format.pp_print_flush bppf ();
-      Unix.gettimeofday () -. t0)
-
-(* Previous value of a "key": wall_s-style float in the old
-   BENCH_compile.json, if one exists — enough JSON scanning to apply the
-   regression warnings against the committed baseline. *)
-let previous_json_float ~key =
-  match In_channel.with_open_text "BENCH_compile.json" In_channel.input_all with
-  | exception Sys_error _ -> None
-  | text -> (
-      let needle = Printf.sprintf "\"%s\"" key in
-      match String.index_opt text '{' with
-      | None -> None
-      | Some _ -> (
-          let rec find i =
-            if i + String.length needle > String.length text then None
-            else if String.sub text i (String.length needle) = needle then
-              Some (i + String.length needle)
-            else find (i + 1)
-          in
-          match find 0 with
-          | None -> None
-          | Some i ->
-              let j = ref i in
-              while
-                !j < String.length text
-                && (text.[!j] = ':' || text.[!j] = ' ')
-              do
-                incr j
-              done;
-              let k = ref !j in
-              while
-                !k < String.length text
-                && (match text.[!k] with
-                   | '0' .. '9' | '.' | '-' -> true
-                   | _ -> false)
-              do
-                incr k
-              done;
-              float_of_string_opt (String.sub text !j (!k - !j))))
+      (Unix.gettimeofday () -. t0, r, Buffer.contents buf))
 
 (* The DSE autopilot on its full default grid (>= 1000 cells over the
    whole suite), sequential on a fresh context — the source of the
@@ -147,72 +63,47 @@ let previous_json_float ~key =
    identical per-cell work, so the ratio is what grouping + batching
    actually buys. *)
 let timed_dse () =
-  let saved = Pool.default_jobs () in
-  Pool.set_default_jobs 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs saved)
-    (fun () ->
-      let ctx = E.Context.create () in
-      let t0 = Unix.gettimeofday () in
-      let r = E.Dse.sweep ctx in
-      let wall = Unix.gettimeofday () -. t0 in
-      let spec = E.Context.interleaved `Ipbc in
-      let fam = List.hd (E.Dse.enumerate E.Dse.default_grid) in
-      let plan, cells = List.hd fam.E.Dse.f_levels in
-      let mk_cell (ccfg, ab) =
-        E.Context.cell ~cfg:ccfg
-          (Vliw_sim.Machine.Word_interleaved { attraction_buffers = ab > 0 })
-      in
-      let benches =
-        List.map Vliw_workloads.Mediabench.find
-          [ "gsmdec"; "epicdec"; "jpegenc" ]
-      in
-      let bcells = List.map mk_cell cells in
-      let t1 = Unix.gettimeofday () in
-      let batch_ctx = E.Context.with_cfg (E.Context.create ()) plan in
-      List.iter
-        (fun b ->
-          ignore (E.Context.run_batch batch_ctx b spec ~trip_cap:512 bcells))
-        benches;
-      let batched_s = Unix.gettimeofday () -. t1 in
-      let batched_rate =
-        if batched_s > 0.0 then float_of_int (List.length bcells) /. batched_s
-        else 0.0
-      in
-      (* Every 9th cell: 8 of the 72, spanning the cache/AB range. *)
-      let sample = List.filteri (fun i _ -> i mod 9 = 0) cells in
-      let t2 = Unix.gettimeofday () in
-      List.iter
-        (fun cell ->
-          let solo_ctx = E.Context.with_cfg (E.Context.create ()) plan in
-          List.iter
-            (fun b ->
-              ignore
-                (E.Context.run_batch solo_ctx b spec ~trip_cap:512
-                   [ mk_cell cell ]))
-            benches)
-        sample;
-      let solo_s = Unix.gettimeofday () -. t2 in
-      let solo_rate =
-        if solo_s > 0.0 then float_of_int (List.length sample) /. solo_s
-        else 0.0
-      in
-      (wall, r, batched_rate, solo_rate, List.length bcells))
-
-(* The explain sweep (attribution + locality abstract interpretation
-   over every compiled loop), sequential for the same reason. *)
-let timed_explain () =
-  let saved = Pool.default_jobs () in
-  Pool.set_default_jobs 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs saved)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      let bppf = Format.formatter_of_buffer buf in
-      let t0 = Unix.gettimeofday () in
-      let summary = Vliw_analysis.Explain.run_all bppf in
-      Format.pp_print_flush bppf ();
-      (Unix.gettimeofday () -. t0, summary))
+  let wall, r, _ = timed (fun _ -> E.Dse.sweep (E.Context.create ())) in
+  let spec = E.Context.interleaved `Ipbc in
+  let fam = List.hd (E.Dse.enumerate E.Dse.default_grid) in
+  let plan, cells = List.hd fam.E.Dse.f_levels in
+  let mk_cell (ccfg, ab) =
+    E.Context.cell ~cfg:ccfg
+      (Vliw_sim.Machine.Word_interleaved { attraction_buffers = ab > 0 })
+  in
+  let benches =
+    List.map Vliw_workloads.Mediabench.find [ "gsmdec"; "epicdec"; "jpegenc" ]
+  in
+  let bcells = List.map mk_cell cells in
+  let batched_s, (), _ =
+    timed (fun _ ->
+        let batch_ctx = E.Context.with_cfg (E.Context.create ()) plan in
+        List.iter
+          (fun b ->
+            ignore (E.Context.run_batch batch_ctx b spec ~trip_cap:512 bcells))
+          benches)
+  in
+  (* Every 9th cell: 8 of the 72, spanning the cache/AB range. *)
+  let sample = List.filteri (fun i _ -> i mod 9 = 0) cells in
+  let solo_s, (), _ =
+    timed (fun _ ->
+        List.iter
+          (fun cell ->
+            let solo_ctx = E.Context.with_cfg (E.Context.create ()) plan in
+            List.iter
+              (fun b ->
+                ignore
+                  (E.Context.run_batch solo_ctx b spec ~trip_cap:512
+                     [ mk_cell cell ]))
+              benches)
+          sample)
+  in
+  let rate n s = if s > 0.0 then float_of_int n /. s else 0.0 in
+  ( wall,
+    r,
+    rate (List.length bcells) batched_s,
+    rate (List.length sample) solo_s,
+    List.length bcells )
 
 (* The exact-II oracle on a bounded gap-loop subset (four certifications
    that all close within the default budget), sequential on a fresh
@@ -220,24 +111,6 @@ let timed_explain () =
    host-independent; only this wall-clock figure tracks the solver's
    engineering cost. *)
 let oracle_bench_subset = [ "gsmdec"; "jpegdec"; "rasta" ]
-
-let timed_oracle () =
-  let saved = Pool.default_jobs () in
-  Pool.set_default_jobs 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs saved)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      let bppf = Format.formatter_of_buffer buf in
-      let ctx = E.Context.create () in
-      let t0 = Unix.gettimeofday () in
-      let summary =
-        Vliw_analysis.Explain.run_all ~benchmarks:oracle_bench_subset
-          ~oracle_budget:Vliw_analysis.Oracle.default_budget
-          ~oracle_memo:(E.Context.oracle_memo ctx) bppf
-      in
-      Format.pp_print_flush bppf ();
-      (Unix.gettimeofday () -. t0, summary))
 
 (* The resident compile service, end to end: a pipelined client drives
    thousands of mixed requests (health probes, compiles and batched
@@ -251,8 +124,6 @@ let timed_oracle () =
 let serve_request_count = 2400
 
 let timed_serve () =
-  let module Serve = Vliw_service.Serve in
-  let module Proto = Vliw_service.Proto in
   let mix =
     [|
       {|{"req":"health"}|};
@@ -293,13 +164,12 @@ let timed_serve () =
   In_channel.with_open_text path (fun ic ->
       try
         while true do
-          match Proto.parse (input_line ic) with
-          | Ok (Proto.Obj fields) -> (
-              match List.assoc_opt "ms" fields with
-              | Some (Proto.Float v) -> ms := v :: !ms
-              | Some (Proto.Int v) -> ms := float_of_int v :: !ms
-              | _ -> ())
-          | Ok _ | Error _ -> ()
+          match Json.parse (input_line ic) with
+          | Ok doc ->
+              Option.iter
+                (fun v -> ms := v :: !ms)
+                (Option.bind (Json.path [ "ms" ] doc) Json.number)
+          | Error _ -> ()
         done
       with End_of_file -> ());
   Sys.remove path;
@@ -315,41 +185,89 @@ let timed_serve () =
   in
   (wall, rps, p99, outcome)
 
-(* The concurrency sanitizer, end to end: record the pool/memo and
-   serve workloads through the sync shim, analyze both traces under
-   lockset + happens-before, and explore every closed scenario with the
-   DPOR explorer.  The wall-clock bounds what the concsan CI gate costs
-   per run; a blow-up here means the shim, the trace analyzer, or the
-   explorer's pruning regressed. *)
-let timed_concsan () =
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let t0 = Unix.gettimeofday () in
-  let summary =
-    Vliw_concsan.Concsan.run ~seed:Vliw_concsan.Concsan.default_seed null_ppf
+(* The trajectory keys each run is held to against the committed
+   baseline: key path, which direction is better, what the number
+   measures, and what a 25 % move the wrong way points at. *)
+let regression_checks =
+  [
+    ( [ "sweep_fig6_wall_s" ], `Lower, "fig6+traffic sweep",
+      "the batched executor or the compile path got slower" );
+    ( [ "sweep_cells_per_s" ], `Higher, "sweep throughput",
+      "the DSE sweep's compile, batching or pruning got slower" );
+    ( [ "oracle"; "oracle_wall_s" ], `Lower, "oracle sweep",
+      "the CP solver or its propagators got slower" );
+    ( [ "serve"; "serve_req_per_s" ], `Higher, "serve throughput",
+      "the service loop's per-request overhead grew" );
+    ( [ "serve"; "serve_p99_ms" ], `Lower, "serve p99 handler latency",
+      "the slowest requests' handlers got slower" );
+    ( [ "concsan"; "concsan_wall_s" ], `Lower, "concsan run",
+      "the sync shim, trace analyzer, or DPOR explorer got slower" );
+  ]
+
+let check_regressions ~baseline doc =
+  let value keys d =
+    Option.bind (Json.path keys d) (fun v ->
+        Option.map (fun x -> (x, Json.to_string v)) (Json.number v))
   in
-  (Unix.gettimeofday () -. t0, summary)
+  let compared =
+    List.filter
+      (fun (keys, better, what, hint) ->
+        match (Option.bind baseline (value keys), value keys doc) with
+        | Some (prev, prev_text), Some (now, now_text) when prev > 0.0 ->
+            let regressed, side =
+              match better with
+              | `Lower -> (now > 1.25 *. prev, "over")
+              | `Higher -> (now < 0.75 *. prev, "below")
+            in
+            if regressed then
+              Format.fprintf ppf
+                "*** WARNING: %s (%s %s) regressed more than 25%% %s the \
+                 committed baseline (%s) — %s ***@."
+                what (String.concat "." keys) now_text side prev_text hint;
+            true
+        | _ -> false)
+      regression_checks
+  in
+  Format.fprintf ppf "compared %d/%d trajectory keys against the committed %s@."
+    (List.length compared) (List.length regression_checks) baseline_path
 
 let write_bench_json ~estimates =
+  (* Read before this run overwrites it. *)
+  let baseline =
+    match In_channel.with_open_text baseline_path In_channel.input_all with
+    | exception Sys_error _ -> None
+    | text -> Result.to_option (Json.parse text)
+  in
   let n = max 2 (Pool.default_jobs ()) in
   let effective = Pool.effective_jobs n in
   (* On a host whose hardware parallelism is 1 the pool degrades
      [--jobs n] to a sequential run, so a second measurement would time
      the identical code path and the ratio would be pure timer noise:
-     skip the redundant run and record only the sequential figure. *)
-  let degenerate = effective <= 1 in
-  let seq_s, seq_out = timed_fig4 ~jobs:1 in
+     skip the redundant run and record only the sequential figure.
+     Each fig4 run gets a fresh context, so compilation is timed both
+     times. *)
+  let fig4 jobs =
+    timed ~jobs (fun bppf -> E.Fig4.run bppf (E.Context.create ()))
+  in
+  let seq_s, (), seq_out = fig4 1 in
   let par =
-    if degenerate then None
+    if effective <= 1 then None
     else
-      let par_s, par_out = timed_fig4 ~jobs:n in
+      let par_s, (), par_out = fig4 n in
       Some
         ( par_s,
           String.equal seq_out par_out,
           if par_s > 0.0 then seq_s /. par_s else 1.0 )
   in
-  let prev_sweep_s = previous_json_float ~key:"sweep_fig6_wall_s" in
-  let prev_cells_per_s = previous_json_float ~key:"sweep_cells_per_s" in
-  let sweep_s = timed_sweep () in
+  (* fig6 (AB on/off x heuristics) plus the traffic ablation on a fresh
+     context: one compile of every swept plan plus the batched
+     simulations. *)
+  let sweep_s, (), _ =
+    timed (fun bppf ->
+        let ctx = E.Context.create () in
+        E.Fig6.run bppf ctx;
+        E.Ablation_traffic.run bppf ctx)
+  in
   let dse_wall, dse_r, dse_batched_rate, dse_solo_rate, dse_group_cells =
     timed_dse ()
   in
@@ -370,111 +288,120 @@ let write_bench_json ~estimates =
     | Some solo, Some batched when solo > 0.0 -> Some (batched /. (8.0 *. solo))
     | _ -> None
   in
-  let analyze_s, analyze_summary = timed_analyze () in
-  let explain_s, explain_summary = timed_explain () in
-  let prev_oracle_s = previous_json_float ~key:"oracle_wall_s" in
-  let oracle_s, oracle_summary = timed_oracle () in
-  let prev_serve_rps = previous_json_float ~key:"serve_req_per_s" in
-  let prev_serve_p99 = previous_json_float ~key:"serve_p99_ms" in
+  (* The full static-analysis sweep and the explain sweep (attribution +
+     locality abstract interpretation over every compiled loop). *)
+  let analyze_s, (analyzed : Vliw_analysis.Analyze.summary), _ =
+    timed Vliw_analysis.Analyze.run_all
+  in
+  let explain_s, (explained : Explain.summary), _ = timed Explain.run_all in
+  let oracle_s, oracle_summary, _ =
+    timed (fun bppf ->
+        Explain.run_all ~benchmarks:oracle_bench_subset
+          ~oracle_budget:Oracle.default_budget
+          ~oracle_memo:(E.Context.oracle_memo (E.Context.create ()))
+          bppf)
+  in
   let serve_wall, serve_rps, serve_p99, serve_outcome = timed_serve () in
-  let prev_concsan_s = previous_json_float ~key:"concsan_wall_s" in
-  let concsan_s, concsan_summary = timed_concsan () in
-  let oracle_rows = oracle_summary.Vliw_analysis.Explain.leaderboard in
+  (* The concurrency sanitizer, end to end: record the pool/memo and
+     serve workloads through the sync shim, analyze both traces under
+     lockset + happens-before, and explore every closed scenario with
+     the DPOR explorer.  The wall-clock bounds what the concsan CI gate
+     costs per run. *)
+  let concsan_s, (cs : Concsan.summary), _ =
+    timed ~jobs:(Pool.default_jobs ()) (fun bppf ->
+        Concsan.run ~seed:Concsan.default_seed bppf)
+  in
+  let oracle_rows = oracle_summary.Explain.leaderboard in
+  let count p = List.length (List.filter p oracle_rows) in
   let oracle_closed =
-    List.length
-      (List.filter
-         (fun (r : Vliw_analysis.Explain.oracle_row) ->
-           r.Vliw_analysis.Explain.o_cert.Vliw_analysis.Oracle.verdict
-           <> Vliw_analysis.Oracle.Unknown)
-         oracle_rows)
+    count (fun r -> r.Explain.o_cert.Oracle.verdict <> Oracle.Unknown)
   in
-  let oracle_unsound =
-    List.length
-      (List.filter
-         (fun (r : Vliw_analysis.Explain.oracle_row) ->
-           not (Vliw_analysis.Oracle.sound r.Vliw_analysis.Explain.o_cert))
-         oracle_rows)
+  let oracle_unsound = count (fun r -> not (Oracle.sound r.Explain.o_cert)) in
+  let sc = serve_outcome.Serve.counters in
+  let opt name = function Some v -> [ (name, v) ] | None -> [] in
+  let doc =
+    Json.(
+      Obj
+        ([
+           ("schema", Int 1);
+           ( "bechamel_ns_per_run",
+             Obj
+               (List.map
+                  (fun (name, ns) -> (name, Fixed (1, ns)))
+                  (List.sort (fun (a, _) (b, _) -> compare a b) estimates)) );
+         ]
+        @ opt "simulate_batched_vs_8_solo_ratio"
+            (Option.map (fun r -> Fixed (3, r)) batched_vs_8_solo)
+        @ [
+            ( "fig4_wall_s",
+              Obj
+                ([ ("jobs_1", Fixed (3, seq_s)) ]
+                @ opt "jobs_n" (Option.map (fun (s, _, _) -> Fixed (3, s)) par)
+                @ [
+                    ("n", Int n); ("effective_jobs", Int effective);
+                    ("skipped_degenerate", Bool (par = None));
+                  ]
+                @ opt "speedup" (Option.map (fun (_, _, x) -> Fixed (3, x)) par)
+                @ opt "identical" (Option.map (fun (_, ok, _) -> Bool ok) par)) );
+            ("sweep_fig6_wall_s", Fixed (3, sweep_s));
+            ("sweep_cells_per_s", Fixed (1, dse_cells_per_s));
+            ( "sweep_dse",
+              Obj
+                [
+                  ("wall_s", Fixed (3, dse_wall));
+                  ("grid_cells", Int dse_r.E.Dse.grid_cells_total);
+                  ("evaluated_cells", Int (List.length dse_r.E.Dse.evaluated));
+                  ("pruned_cells", Int dse_r.E.Dse.pruned_cells);
+                  ("frontier_cells", Int (List.length dse_r.E.Dse.frontier));
+                  ("batched_vs_solo_speedup", Fixed (2, dse_speedup));
+                ] );
+            ( "analyze",
+              Obj
+                [
+                  ("wall_s", Fixed (3, analyze_s));
+                  ("errors", Int analyzed.errors);
+                  ("warnings", Int analyzed.warnings);
+                ] );
+            ( "explain",
+              Obj
+                [
+                  ("wall_s", Fixed (3, explain_s));
+                  ("loops", Int explained.loops); ("gaps", Int explained.gaps);
+                  ("lints", Int explained.lints);
+                ] );
+            ( "oracle",
+              Obj
+                [
+                  ("oracle_wall_s", Fixed (3, oracle_s));
+                  ("benchmarks", Int (List.length oracle_bench_subset));
+                  ("certified", Int (List.length oracle_rows));
+                  ("closed", Int oracle_closed);
+                  ("unsound", Int oracle_unsound);
+                ] );
+            ( "serve",
+              Obj
+                [
+                  ("wall_s", Fixed (3, serve_wall));
+                  ("requests", Int sc.Serve.accepted); ("ok", Int sc.ok);
+                  ("errors", Int sc.errors);
+                  ("internal_errors", Int sc.internal_errors);
+                  ("serve_req_per_s", Fixed (1, serve_rps));
+                  ("serve_p99_ms", Fixed (3, serve_p99));
+                ] );
+            ( "concsan",
+              Obj
+                [
+                  ("concsan_wall_s", Fixed (3, concsan_s));
+                  ("trace_events", Int cs.trace_events);
+                  ("trace_threads", Int cs.trace_threads);
+                  ("scenarios", Int cs.scenarios);
+                  ("executions", Int cs.executions); ("errors", Int cs.errors);
+                  ("warnings", Int cs.warnings);
+                ] );
+          ]))
   in
-  let path = "BENCH_compile.json" in
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"bechamel_ns_per_run\": {\n";
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) estimates in
-  List.iteri
-    (fun i (name, ns) ->
-      p "    \"%s\": %.1f%s\n" (json_escape name) ns
-        (if i = List.length sorted - 1 then "" else ","))
-    sorted;
-  p "  },\n";
-  (match batched_vs_8_solo with
-  | Some ratio -> p "  \"simulate_batched_vs_8_solo_ratio\": %.3f,\n" ratio
-  | None -> ());
-  p "  \"fig4_wall_s\": {\n";
-  p "    \"jobs_1\": %.3f,\n" seq_s;
-  (match par with
-  | None ->
-      p "    \"n\": %d,\n" n;
-      p "    \"effective_jobs\": %d,\n" effective;
-      p "    \"skipped_degenerate\": true\n"
-  | Some (par_s, identical, speedup) ->
-      p "    \"jobs_n\": %.3f,\n" par_s;
-      p "    \"n\": %d,\n" n;
-      p "    \"effective_jobs\": %d,\n" effective;
-      p "    \"skipped_degenerate\": false,\n";
-      p "    \"speedup\": %.3f,\n" speedup;
-      p "    \"identical\": %b\n" identical);
-  p "  },\n";
-  p "  \"sweep_fig6_wall_s\": %.3f,\n" sweep_s;
-  p "  \"sweep_cells_per_s\": %.1f,\n" dse_cells_per_s;
-  p "  \"sweep_dse\": {\n";
-  p "    \"wall_s\": %.3f,\n" dse_wall;
-  p "    \"grid_cells\": %d,\n" dse_r.E.Dse.grid_cells_total;
-  p "    \"evaluated_cells\": %d,\n" (List.length dse_r.E.Dse.evaluated);
-  p "    \"pruned_cells\": %d,\n" dse_r.E.Dse.pruned_cells;
-  p "    \"frontier_cells\": %d,\n" (List.length dse_r.E.Dse.frontier);
-  p "    \"batched_vs_solo_speedup\": %.2f\n" dse_speedup;
-  p "  },\n";
-  p "  \"analyze\": {\n";
-  p "    \"wall_s\": %.3f,\n" analyze_s;
-  p "    \"errors\": %d,\n" analyze_summary.Vliw_analysis.Analyze.errors;
-  p "    \"warnings\": %d\n" analyze_summary.Vliw_analysis.Analyze.warnings;
-  p "  },\n";
-  p "  \"explain\": {\n";
-  p "    \"wall_s\": %.3f,\n" explain_s;
-  p "    \"loops\": %d,\n" explain_summary.Vliw_analysis.Explain.loops;
-  p "    \"gaps\": %d,\n" explain_summary.Vliw_analysis.Explain.gaps;
-  p "    \"lints\": %d\n" explain_summary.Vliw_analysis.Explain.lints;
-  p "  },\n";
-  p "  \"oracle\": {\n";
-  p "    \"oracle_wall_s\": %.3f,\n" oracle_s;
-  p "    \"benchmarks\": %d,\n" (List.length oracle_bench_subset);
-  p "    \"certified\": %d,\n" (List.length oracle_rows);
-  p "    \"closed\": %d,\n" oracle_closed;
-  p "    \"unsound\": %d\n" oracle_unsound;
-  p "  },\n";
-  let sc = serve_outcome.Vliw_service.Serve.counters in
-  p "  \"serve\": {\n";
-  p "    \"wall_s\": %.3f,\n" serve_wall;
-  p "    \"requests\": %d,\n" sc.Vliw_service.Serve.accepted;
-  p "    \"ok\": %d,\n" sc.Vliw_service.Serve.ok;
-  p "    \"errors\": %d,\n" sc.Vliw_service.Serve.errors;
-  p "    \"internal_errors\": %d,\n" sc.Vliw_service.Serve.internal_errors;
-  p "    \"serve_req_per_s\": %.1f,\n" serve_rps;
-  p "    \"serve_p99_ms\": %.3f\n" serve_p99;
-  p "  },\n";
-  p "  \"concsan\": {\n";
-  p "    \"concsan_wall_s\": %.3f,\n" concsan_s;
-  p "    \"trace_events\": %d,\n" concsan_summary.Vliw_concsan.Concsan.trace_events;
-  p "    \"trace_threads\": %d,\n" concsan_summary.Vliw_concsan.Concsan.trace_threads;
-  p "    \"scenarios\": %d,\n" concsan_summary.Vliw_concsan.Concsan.scenarios;
-  p "    \"executions\": %d,\n" concsan_summary.Vliw_concsan.Concsan.executions;
-  p "    \"errors\": %d,\n" concsan_summary.Vliw_concsan.Concsan.errors;
-  p "    \"warnings\": %d\n" concsan_summary.Vliw_concsan.Concsan.warnings;
-  p "  }\n";
-  p "}\n";
-  close_out oc;
+  Out_channel.with_open_text baseline_path (fun oc ->
+      output_string oc (Json.document doc));
   (match par with
   | None ->
       Format.fprintf ppf
@@ -495,16 +422,6 @@ let write_bench_json ~estimates =
   Format.fprintf ppf
     "fig6+traffic sweep wall-clock: %.2fs sequential on a fresh context@."
     sweep_s;
-  (* Same regression-warning discipline as the analyze/explain pair:
-     compare against the committed baseline's value when one exists. *)
-  (match prev_sweep_s with
-  | Some prev when prev > 0.0 && sweep_s > 1.25 *. prev ->
-      Format.fprintf ppf
-        "*** WARNING: fig6+traffic sweep (%.2fs) regressed more than 25%% \
-         over the committed baseline (%.2fs) — the batched executor or the \
-         compile path got slower ***@."
-        sweep_s prev
-  | Some _ | None -> ());
   (* A batch of 8 cells shares one plan traversal; if it is not even
      beating 8 independent single-cell runs, batching has regressed into
      pure overhead. *)
@@ -536,24 +453,14 @@ let write_bench_json ~estimates =
       "*** WARNING: batched sweep cells are under 2x a solo-cell baseline \
        (%.2fx) — lockstep batching has regressed ***@."
       dse_speedup;
-  (match prev_cells_per_s with
-  | Some prev when prev > 0.0 && dse_cells_per_s < 0.75 *. prev ->
-      Format.fprintf ppf
-        "*** WARNING: sweep throughput (%.1f cells/s) regressed more than \
-         25%% below the committed baseline (%.1f cells/s) ***@."
-        dse_cells_per_s prev
-  | Some _ | None -> ());
   Format.fprintf ppf
     "analyze wall-clock: %.2fs sequential for the whole suite (%d errors, \
      %d warnings)@."
-    analyze_s analyze_summary.Vliw_analysis.Analyze.errors
-    analyze_summary.Vliw_analysis.Analyze.warnings;
+    analyze_s analyzed.errors analyzed.warnings;
   Format.fprintf ppf
     "explain wall-clock: %.2fs sequential for the whole suite (%d loops, \
      %d II>MII, %d lints)@."
-    explain_s explain_summary.Vliw_analysis.Explain.loops
-    explain_summary.Vliw_analysis.Explain.gaps
-    explain_summary.Vliw_analysis.Explain.lints;
+    explain_s explained.loops explained.gaps explained.lints;
   (* explain re-compiles everything analyze compiles but never
      simulates, so it should stay in the same ballpark — far slower
      means the abstract interpretation or the bound tower regressed. *)
@@ -568,110 +475,72 @@ let write_bench_json ~estimates =
     oracle_s
     (List.length oracle_bench_subset)
     (List.length oracle_rows) oracle_closed oracle_unsound;
-  (match prev_oracle_s with
-  | Some prev when prev > 0.0 && oracle_s > 1.25 *. prev ->
-      Format.fprintf ppf
-        "*** WARNING: oracle sweep (%.2fs) regressed more than 25%% over \
-         the committed baseline (%.2fs) — the CP solver or its propagators \
-         got slower ***@."
-        oracle_s prev
-  | Some _ | None -> ());
-  if oracle_unsound > 0 then begin
-    Format.fprintf ppf
-      "ERROR: oracle produced %d unsound certifications@." oracle_unsound;
-    exit 1
-  end;
-  let sc = serve_outcome.Vliw_service.Serve.counters in
   Format.fprintf ppf
     "serve: %d mixed requests in %.2fs at jobs=1 (%.0f req/s, p99 handler \
      latency %.2f ms)@."
-    sc.Vliw_service.Serve.accepted serve_wall serve_rps serve_p99;
-  (* The drive mix is entirely well-formed, so anything but "ok" means
-     the service loop itself regressed. *)
-  if
-    sc.Vliw_service.Serve.errors > 0
-    || sc.Vliw_service.Serve.internal_errors > 0
-    || sc.Vliw_service.Serve.timeouts > 0
-    || sc.Vliw_service.Serve.shed > 0
-  then begin
-    Format.fprintf ppf
-      "ERROR: serve bench saw non-ok responses on a well-formed mix \
-       (errors=%d internal=%d timeouts=%d shed=%d)@."
-      sc.Vliw_service.Serve.errors sc.Vliw_service.Serve.internal_errors
-      sc.Vliw_service.Serve.timeouts sc.Vliw_service.Serve.shed;
-    exit 1
-  end;
-  (match prev_serve_rps with
-  | Some prev when prev > 0.0 && serve_rps < 0.75 *. prev ->
-      Format.fprintf ppf
-        "*** WARNING: serve throughput (%.0f req/s) regressed more than \
-         25%% below the committed baseline (%.0f req/s) — the service \
-         loop's per-request overhead grew ***@."
-        serve_rps prev
-  | Some _ | None -> ());
-  (match prev_serve_p99 with
-  | Some prev when prev > 0.0 && serve_p99 > 1.25 *. prev ->
-      Format.fprintf ppf
-        "*** WARNING: serve p99 handler latency (%.2f ms) regressed more \
-         than 25%% over the committed baseline (%.2f ms) ***@."
-        serve_p99 prev
-  | Some _ | None -> ());
+    sc.accepted serve_wall serve_rps serve_p99;
   Format.fprintf ppf
     "concsan wall-clock: %.2fs (%d trace events over %d threads, %d \
      scenarios / %d interleavings explored, %d errors, %d warnings)@."
-    concsan_s concsan_summary.Vliw_concsan.Concsan.trace_events
-    concsan_summary.Vliw_concsan.Concsan.trace_threads
-    concsan_summary.Vliw_concsan.Concsan.scenarios
-    concsan_summary.Vliw_concsan.Concsan.executions
-    concsan_summary.Vliw_concsan.Concsan.errors
-    concsan_summary.Vliw_concsan.Concsan.warnings;
-  if concsan_summary.Vliw_concsan.Concsan.errors > 0 then begin
-    Format.fprintf ppf
-      "ERROR: concsan found %d error-severity concurrency diagnostics@."
-      concsan_summary.Vliw_concsan.Concsan.errors;
-    exit 1
-  end;
-  (match prev_concsan_s with
-  | Some prev when prev > 0.0 && concsan_s > 1.25 *. prev ->
-      Format.fprintf ppf
-        "*** WARNING: concsan run (%.2fs) regressed more than 25%% over \
-         the committed baseline (%.2fs) — the sync shim, trace analyzer, \
-         or DPOR explorer got slower ***@."
-        concsan_s prev
-  | Some _ | None -> ());
-  Format.fprintf ppf "wrote %s@.@." path;
-  match par with
-  | Some (_, false, _) ->
-      Format.fprintf ppf
-        "ERROR: parallel fig4 output diverged from sequential@.";
-      exit 1
-  | Some (_, true, _) | None -> ()
+    concsan_s cs.trace_events cs.trace_threads cs.scenarios cs.executions
+    cs.errors cs.warnings;
+  check_regressions ~baseline doc;
+  Format.fprintf ppf "wrote %s@.@." baseline_path;
+  (* Hard failures.  The serve drive mix is entirely well-formed, so
+     anything but "ok" there means the service loop itself regressed. *)
+  let failures =
+    List.filter_map
+      (fun (failed, msg) -> if failed then Some msg else None)
+      [
+        ( oracle_unsound > 0,
+          Printf.sprintf "oracle produced %d unsound certifications"
+            oracle_unsound );
+        ( sc.errors > 0 || sc.internal_errors > 0 || sc.timeouts > 0
+          || sc.shed > 0,
+          Printf.sprintf
+            "serve bench saw non-ok responses on a well-formed mix \
+             (errors=%d internal=%d timeouts=%d shed=%d)"
+            sc.errors sc.internal_errors sc.timeouts sc.shed );
+        ( cs.errors > 0,
+          Printf.sprintf
+            "concsan found %d error-severity concurrency diagnostics"
+            cs.errors );
+        ( (match par with Some (_, same, _) -> not same | None -> false),
+          "parallel fig4 output diverged from sequential" );
+      ]
+  in
+  List.iter (fun msg -> Format.fprintf ppf "ERROR: %s@." msg) failures;
+  if failures <> [] then exit 1
+
+(* Bechamel micro-benchmarks of the compiler pipeline (engineering
+   bench; not a paper artefact), then the trajectory file. *)
+(* gsmdec's first loop on the default machine, with its seed-7 profiler
+   and a maker of its execution-run layout: the subject of the bechamel
+   cells and of sim-smoke. *)
+let gsmdec_fixture () =
+  let module WL = Vliw_workloads in
+  let cfg = Vliw_arch.Config.default in
+  let layout run = WL.Layout.create cfg ~aligned:true ~run ~seed:7 in
+  ( cfg,
+    List.hd (WL.Benchspec.loops (WL.Mediabench.find "gsmdec")),
+    WL.Profiling.profiler cfg (layout WL.Layout.Profile_run),
+    fun () -> layout WL.Layout.Execution_run )
+
+let interleaved h =
+  Vliw_core.Pipeline.Interleaved { heuristic = h; chains = true }
 
 let perf () =
   let open Bechamel in
-  let cfg = Vliw_arch.Config.default in
-  let bench = Vliw_workloads.Mediabench.find "gsmdec" in
-  let loop = List.hd (Vliw_workloads.Benchspec.loops bench) in
-  let layout =
-    Vliw_workloads.Layout.create cfg ~aligned:true
-      ~run:Vliw_workloads.Layout.Profile_run ~seed:7
-  in
-  let profiler = Vliw_workloads.Profiling.profiler cfg layout in
+  let cfg, loop, profiler, exec_layout = gsmdec_fixture () in
   let compile target strategy () =
     ignore (Vliw_core.Pipeline.compile cfg ~target ~strategy ~profiler loop)
-  in
-  let interleaved h =
-    Vliw_core.Pipeline.Interleaved { heuristic = h; chains = true }
   in
   let exec () =
     let c =
       Vliw_core.Pipeline.compile cfg ~target:(interleaved `Ipbc)
         ~strategy:Vliw_core.Unroll_select.Selective ~profiler loop
     in
-    let exec_layout =
-      Vliw_workloads.Layout.create cfg ~aligned:true
-        ~run:Vliw_workloads.Layout.Execution_run ~seed:7
-    in
+    let exec_layout = exec_layout () in
     let machine =
       Vliw_sim.Machine.create cfg
         (Vliw_sim.Machine.Word_interleaved { attraction_buffers = true })
@@ -691,11 +560,7 @@ let perf () =
       ~strategy:Vliw_core.Unroll_select.Selective ~profiler loop
   in
   let sim_addr_of =
-    let exec_layout =
-      Vliw_workloads.Layout.create cfg ~aligned:true
-        ~run:Vliw_workloads.Layout.Execution_run ~seed:7
-    in
-    Vliw_workloads.Layout.addr_fn exec_layout
+    Vliw_workloads.Layout.addr_fn (exec_layout ())
       sim_compiled.Vliw_core.Pipeline.loop.Vliw_ir.Loop.ddg
   in
   let simulate () =
@@ -782,18 +647,8 @@ let perf () =
    specialized inner loops fails the test suite without waiting for the
    full benchmark run. *)
 let sim_smoke () =
-  let cfg = Vliw_arch.Config.default in
-  let bench = Vliw_workloads.Mediabench.find "gsmdec" in
-  let loop = List.hd (Vliw_workloads.Benchspec.loops bench) in
-  let layout =
-    Vliw_workloads.Layout.create cfg ~aligned:true
-      ~run:Vliw_workloads.Layout.Profile_run ~seed:7
-  in
-  let profiler = Vliw_workloads.Profiling.profiler cfg layout in
-  let exec_layout =
-    Vliw_workloads.Layout.create cfg ~aligned:true
-      ~run:Vliw_workloads.Layout.Execution_run ~seed:7
-  in
+  let cfg, loop, profiler, exec_layout = gsmdec_fixture () in
+  let exec_layout = exec_layout () in
   let run name target arch =
     let c =
       Vliw_core.Pipeline.compile cfg ~target
@@ -810,9 +665,6 @@ let sim_smoke () =
       (Vliw_sim.Stats.stall_cycles stats)
       (Vliw_sim.Stats.compute_cycles stats)
   in
-  let interleaved h =
-    Vliw_core.Pipeline.Interleaved { heuristic = h; chains = true }
-  in
   run "interleaved+AB" (interleaved `Ipbc)
     (Vliw_sim.Machine.Word_interleaved { attraction_buffers = true });
   run "interleaved-AB" (interleaved `Ipbc)
@@ -823,38 +675,24 @@ let sim_smoke () =
   run "multiVLIW" Vliw_core.Pipeline.Multivliw Vliw_sim.Machine.Multivliw
 
 let experiments ctx =
-  [
-    ("table1", fun () -> E.Table1.run ppf);
-    ("table2", fun () -> E.Table2.run ppf ctx);
-    ("ex1", fun () -> E.Worked_example.run ppf ctx);
-    ("fig4", fun () -> E.Fig4.run ppf ctx);
-    ("fig5", fun () -> E.Fig5.run ppf ctx);
-    ("fig6", fun () -> E.Fig6.run ppf ctx);
-    ("fig7", fun () -> E.Fig7.run ppf ctx);
-    ("fig8", fun () -> E.Fig8.run ppf ctx);
-    ("ablation-hints", fun () -> E.Ablation_hints.run ppf ctx);
-    ("ablation-chains", fun () -> E.Ablation_chains.run ppf ctx);
-    ("ablation-interleave", fun () -> E.Ablation_interleave.run ppf ctx);
-    ("ablation-clusters", fun () -> E.Ablation_clusters.run ppf ctx);
-    ("ablation-traffic", fun () -> E.Ablation_traffic.run ppf ctx);
-    ("ablation-unroll", fun () -> E.Ablation_unroll.run ppf ctx);
-    ("csv", fun () -> E.Csv_export.run ppf ctx);
-    ("sim-smoke", fun () -> sim_smoke ());
-    ( "serve",
-      fun () ->
-        let wall, rps, p99, outcome = timed_serve () in
-        let c = outcome.Vliw_service.Serve.counters in
-        Format.fprintf ppf
-          "%d mixed requests in %.2fs at jobs=1: %.0f req/s, p99 handler \
-           latency %.2f ms (ok=%d errors=%d timeouts=%d internal=%d \
-           shed=%d, drained by %s)@."
-          c.Vliw_service.Serve.accepted wall rps p99
-          c.Vliw_service.Serve.ok c.Vliw_service.Serve.errors
-          c.Vliw_service.Serve.timeouts
-          c.Vliw_service.Serve.internal_errors c.Vliw_service.Serve.shed
-          outcome.Vliw_service.Serve.reason );
-    ("perf", perf);
-  ]
+  List.map (fun (name, run) -> (name, fun () -> run ppf ctx)) E.Artefacts.all
+  @ [
+      ("sim-smoke", sim_smoke);
+      ( "serve",
+        fun () ->
+          let wall, rps, p99, outcome = timed_serve () in
+          let c = outcome.Serve.counters in
+          Format.fprintf ppf
+            "%d mixed requests in %.2fs at jobs=1: %.0f req/s, p99 handler \
+             latency %.2f ms (ok=%d errors=%d timeouts=%d internal=%d \
+             shed=%d, drained by %s)@."
+            c.Serve.accepted wall rps p99
+            c.Serve.ok c.Serve.errors
+            c.Serve.timeouts
+            c.Serve.internal_errors c.Serve.shed
+            outcome.Serve.reason );
+      ("perf", perf);
+    ]
 
 let usage () =
   Format.fprintf ppf

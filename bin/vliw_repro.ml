@@ -68,45 +68,14 @@ let apply_check check = if check then Vliw_analysis.Analyze.install_check_hook (
 let experiment_cmd =
   let doc = "Regenerate one of the paper's tables or figures." in
   let names =
-    Arg.(
-      non_empty
-      & pos_all
-          (enum
-             [
-               ("table1", `Table1); ("table2", `Table2); ("ex1", `Ex1);
-               ("fig4", `Fig4); ("fig5", `Fig5); ("fig6", `Fig6);
-               ("fig7", `Fig7); ("fig8", `Fig8);
-               ("ablation-hints", `Hints); ("ablation-chains", `Chains);
-               ("ablation-interleave", `Interleave);
-               ("ablation-clusters", `Clusters);
-               ("ablation-traffic", `Traffic);
-               ("ablation-unroll", `Unroll); ("csv", `Csv);
-             ])
-          []
-      & info [] ~docv:"EXPERIMENT")
+    let choices = List.map (fun (name, _) -> (name, name)) E.Artefacts.all in
+    Arg.(non_empty & pos_all (enum choices) [] & info [] ~docv:"EXPERIMENT")
   in
   let run jobs check names =
     apply_jobs jobs;
     apply_check check;
     let ctx = E.Context.create () in
-    List.iter
-      (function
-        | `Table1 -> E.Table1.run ppf
-        | `Table2 -> E.Table2.run ppf ctx
-        | `Ex1 -> E.Worked_example.run ppf ctx
-        | `Fig4 -> E.Fig4.run ppf ctx
-        | `Fig5 -> E.Fig5.run ppf ctx
-        | `Fig6 -> E.Fig6.run ppf ctx
-        | `Fig7 -> E.Fig7.run ppf ctx
-        | `Fig8 -> E.Fig8.run ppf ctx
-        | `Hints -> E.Ablation_hints.run ppf ctx
-        | `Chains -> E.Ablation_chains.run ppf ctx
-        | `Interleave -> E.Ablation_interleave.run ppf ctx
-        | `Clusters -> E.Ablation_clusters.run ppf ctx
-        | `Traffic -> E.Ablation_traffic.run ppf ctx
-        | `Unroll -> E.Ablation_unroll.run ppf ctx
-        | `Csv -> E.Csv_export.run ppf ctx)
-      names
+    List.iter (fun name -> (List.assoc name E.Artefacts.all) ppf ctx) names
   in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(const run $ jobs_arg $ check_arg $ names)

@@ -9,6 +9,7 @@ module Stats = Vliw_sim.Stats
 module WL = Vliw_workloads
 module Pool = Vliw_parallel.Pool
 module D = Diagnostic
+module Json = Vliw_report.Json
 
 type summary = {
   benchmarks : int;
@@ -208,36 +209,38 @@ let analyze_bench cfg ~seed (bench : WL.Benchspec.t) =
     diags = List.rev !diags;
   }
 
-let summary_json ?(extra = "") name (s : summary) =
-  Printf.sprintf
-    {|"%s":{"benchmarks":%d,"loops":%d,"cells":%d,"errors":%d,"warnings":%d,"infos":%d,"ok":%b%s}|}
-    name s.benchmarks s.loops s.cells s.errors s.warnings s.infos (ok s) extra
+let summary_fields s =
+  Json.
+    [
+      ("benchmarks", Int s.benchmarks); ("loops", Int s.loops);
+      ("cells", Int s.cells); ("errors", Int s.errors);
+      ("warnings", Int s.warnings); ("infos", Int s.infos);
+    ]
 
 let print_json ppf ~verbose ~config_diags ~results ~all_diags summary =
+  let open Json in
   let diags =
     List.filter (fun d -> verbose || d.D.severity <> D.Info) all_diags
   in
-  Format.fprintf ppf "{@.  \"schema_version\": %d,@.  %s,@."
-    Explain.schema_version
-    (summary_json "summary" summary);
-  Format.fprintf ppf "  \"config_ok\": %b,@."
-    (not (D.has_errors config_diags));
-  Format.fprintf ppf "  \"benchmarks\": [@.";
-  List.iteri
-    (fun i r ->
-      Format.fprintf ppf
-        "    {\"name\":\"%s\",\"loops\":%d,\"cells\":%d,\"errors\":%d,\"warnings\":%d,\"infos\":%d}%s@."
-        (D.json_escape r.name) r.b_loops r.b_cells (D.n_errors r.diags)
-        (D.n_warnings r.diags) (D.n_infos r.diags)
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Format.fprintf ppf "  ],@.  \"diagnostics\": [@.";
-  List.iteri
-    (fun i d ->
-      Format.fprintf ppf "    %s%s@." (D.to_json d)
-        (if i < List.length diags - 1 then "," else ""))
-    diags;
-  Format.fprintf ppf "  ]@.}@."
+  let bench r =
+    Obj
+      [
+        ("name", String r.name); ("loops", Int r.b_loops);
+        ("cells", Int r.b_cells); ("errors", Int (D.n_errors r.diags));
+        ("warnings", Int (D.n_warnings r.diags));
+        ("infos", Int (D.n_infos r.diags));
+      ]
+  in
+  Format.fprintf ppf "%s%!"
+    (document
+       (Obj
+          [
+            ("schema_version", Int Explain.schema_version);
+            ("summary", Obj (summary_fields summary @ [ ("ok", Bool (ok summary)) ]));
+            ("config_ok", Bool (not (D.has_errors config_diags)));
+            ("benchmarks", List (List.map bench results));
+            ("diagnostics", List (List.map D.to_json diags));
+          ]))
 
 let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks
     ?(verbose = false) ?(json = false) ppf =
@@ -253,37 +256,6 @@ let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks
   let all_diags =
     config_diags @ List.concat_map (fun r -> r.diags) results
   in
-  if json then begin
-    let summary =
-      {
-        benchmarks = List.length results;
-        loops = List.fold_left (fun acc r -> acc + r.b_loops) 0 results;
-        cells = List.fold_left (fun acc r -> acc + r.b_cells) 0 results;
-        errors = D.n_errors all_diags;
-        warnings = D.n_warnings all_diags;
-        infos = D.n_infos all_diags;
-      }
-    in
-    print_json ppf ~verbose ~config_diags ~results ~all_diags summary;
-    summary
-  end
-  else begin
-  Format.fprintf ppf "config: %s@."
-    (if D.has_errors config_diags then "INVALID"
-     else if config_diags = [] then "ok"
-     else Printf.sprintf "ok (%d warnings)" (D.n_warnings config_diags));
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-12s %2d loop compiles  %d cells  %s@." r.name
-        r.b_loops r.b_cells
-        (if D.has_errors r.diags then
-           Printf.sprintf "%d ERRORS" (D.n_errors r.diags)
-         else if D.n_warnings r.diags > 0 then
-           Printf.sprintf "ok (%d warnings, %d infos)" (D.n_warnings r.diags)
-             (D.n_infos r.diags)
-         else Printf.sprintf "ok (%d infos)" (D.n_infos r.diags)))
-    results;
-  D.pp_report ~max_infos:(if verbose then max_int else 0) ppf all_diags;
   let summary =
     {
       benchmarks = List.length results;
@@ -294,18 +266,35 @@ let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks
       infos = D.n_infos all_diags;
     }
   in
-  Format.fprintf ppf
-    "analyze: %d benchmarks, %d loop compiles, %d simulation cells — %d \
-     errors, %d warnings, %d infos@."
-    summary.benchmarks summary.loops summary.cells summary.errors
-    summary.warnings summary.infos;
-  if summary.errors = 0 then
-    Format.fprintf ppf "all invariants hold@."
+  if json then print_json ppf ~verbose ~config_diags ~results ~all_diags summary
   else begin
-    Format.fprintf ppf "diagnostics by pass:@.";
+    Format.fprintf ppf "config: %s@."
+      (if D.has_errors config_diags then "INVALID"
+       else if config_diags = [] then "ok"
+       else Printf.sprintf "ok (%d warnings)" (D.n_warnings config_diags));
     List.iter
-      (fun (pass, n) -> Format.fprintf ppf "  %-24s %d@." pass n)
-      (D.by_pass (List.filter (fun d -> d.D.severity = D.Error) all_diags))
+      (fun r ->
+        Format.fprintf ppf "%-12s %2d loop compiles  %d cells  %s@." r.name
+          r.b_loops r.b_cells
+          (if D.has_errors r.diags then
+             Printf.sprintf "%d ERRORS" (D.n_errors r.diags)
+           else if D.n_warnings r.diags > 0 then
+             Printf.sprintf "ok (%d warnings, %d infos)" (D.n_warnings r.diags)
+               (D.n_infos r.diags)
+           else Printf.sprintf "ok (%d infos)" (D.n_infos r.diags)))
+      results;
+    D.pp_report ~max_infos:(if verbose then max_int else 0) ppf all_diags;
+    Format.fprintf ppf
+      "analyze: %d benchmarks, %d loop compiles, %d simulation cells — %d \
+       errors, %d warnings, %d infos@."
+      summary.benchmarks summary.loops summary.cells summary.errors
+      summary.warnings summary.infos;
+    if summary.errors = 0 then Format.fprintf ppf "all invariants hold@."
+    else begin
+      Format.fprintf ppf "diagnostics by pass:@.";
+      List.iter
+        (fun (pass, n) -> Format.fprintf ppf "  %-24s %d@." pass n)
+        (D.by_pass (List.filter (fun d -> d.D.severity = D.Error) all_diags))
+    end
   end;
   summary
-  end

@@ -44,3 +44,7 @@ val run_all :
 
 val ok : summary -> bool
 (** No error-severity diagnostics. *)
+
+val summary_fields : summary -> (string * Vliw_report.Json.t) list
+(** The six counts as JSON fields, in record order; the ["summary"] of
+    the [--json] document adds ["ok"]. *)

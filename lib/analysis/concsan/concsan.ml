@@ -6,6 +6,7 @@ module Memo = Vliw_parallel.Memo
 module Cancel = Vliw_parallel.Cancel
 module Serve = Vliw_service.Serve
 module D = Vliw_analysis.Diagnostic
+module Json = Vliw_report.Json
 module T = Sync.Trace
 
 type summary = {
@@ -141,50 +142,46 @@ let trace_stats (tr : T.t) =
   (T.n_events tr, List.length tr.T.threads)
 
 let json_of_run ~seed ~traces ~outcomes ~diags ~summary =
-  let b = Buffer.create 4096 in
-  let esc = D.json_escape in
-  Buffer.add_string b
-    (Printf.sprintf
-       {|{"concsan":{"schema_version":1,"seed":%Ld,"traces":[|} seed);
-  List.iteri
-    (fun i (name, ev, th) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf {|{"name":"%s","events":%d,"threads":%d}|} (esc name)
-           ev th))
-    traces;
-  Buffer.add_string b {|],"scenarios":[|};
-  List.iteri
-    (fun i (o : Vsched.outcome) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           {|{"name":"%s","executions":%d,"steps":%d,"truncated":%b,"failures":[|}
-           (esc o.Vsched.name) o.Vsched.executions o.Vsched.steps
-           o.Vsched.truncated);
-      List.iteri
-        (fun j (f : Vsched.failure) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf
-               {|{"pass":"%s","message":"%s","schedule":"%s"}|}
-               (esc f.Vsched.pass) (esc f.Vsched.message)
-               (esc f.Vsched.schedule)))
-        o.Vsched.failures;
-      Buffer.add_string b "]}")
-    outcomes;
-  Buffer.add_string b {|],"diagnostics":[|};
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (D.to_json d))
-    diags;
-  Buffer.add_string b
-    (Printf.sprintf
-       {|],"summary":{"trace_events":%d,"trace_threads":%d,"scenarios":%d,"executions":%d,"errors":%d,"warnings":%d}}}|}
-       summary.trace_events summary.trace_threads summary.scenarios
-       summary.executions summary.errors summary.warnings);
-  Buffer.contents b
+  let open Json in
+  let trace (name, ev, th) =
+    Obj [ ("name", String name); ("events", Int ev); ("threads", Int th) ]
+  in
+  let failure (f : Vsched.failure) =
+    Obj
+      [
+        ("pass", String f.Vsched.pass); ("message", String f.Vsched.message);
+        ("schedule", String f.Vsched.schedule);
+      ]
+  in
+  let scenario (o : Vsched.outcome) =
+    Obj
+      [
+        ("name", String o.Vsched.name); ("executions", Int o.Vsched.executions);
+        ("steps", Int o.Vsched.steps); ("truncated", Bool o.Vsched.truncated);
+        ("failures", List (List.map failure o.Vsched.failures));
+      ]
+  in
+  Obj
+    [
+      ( "concsan",
+        Obj
+          [
+            ("schema_version", Int 1); ("seed", Int64 seed);
+            ("traces", List (List.map trace traces));
+            ("scenarios", List (List.map scenario outcomes));
+            ("diagnostics", List (List.map D.to_json diags));
+            ( "summary",
+              Obj
+                [
+                  ("trace_events", Int summary.trace_events);
+                  ("trace_threads", Int summary.trace_threads);
+                  ("scenarios", Int summary.scenarios);
+                  ("executions", Int summary.executions);
+                  ("errors", Int summary.errors);
+                  ("warnings", Int summary.warnings);
+                ] );
+          ] );
+    ]
 
 let run ?(seed = default_seed) ?(json = false) ppf =
   let (), pool_trace = Sync.record_scope pool_and_memo_workload in
@@ -209,7 +206,7 @@ let run ?(seed = default_seed) ?(json = false) ppf =
   let traces = [ ("pool+memo", pe, pt); ("serve", se, st) ] in
   if json then
     Format.fprintf ppf "%s@."
-      (json_of_run ~seed ~traces ~outcomes ~diags ~summary)
+      (Json.to_string (json_of_run ~seed ~traces ~outcomes ~diags ~summary))
   else begin
     Format.fprintf ppf "== concurrency sanitizer (seed %Ld) ==@." seed;
     List.iter

@@ -37,27 +37,14 @@ let by_pass ds =
   Hashtbl.fold (fun pass n acc -> (pass, n) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    {|{"pass":"%s","severity":"%s","where":"%s","message":"%s"}|}
-    (json_escape d.pass)
-    (severity_to_string d.severity)
-    (json_escape d.where) (json_escape d.message)
+  Vliw_report.Json.(
+    Obj
+      [
+        ("pass", String d.pass);
+        ("severity", String (severity_to_string d.severity));
+        ("where", String d.where); ("message", String d.message);
+      ])
 
 let pp ppf d =
   Format.fprintf ppf "%-5s %-22s %s: %s"

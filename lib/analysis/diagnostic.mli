@@ -31,11 +31,7 @@ val has_errors : t list -> bool
 val by_pass : t list -> (string * int) list
 (** Diagnostic count per pass id, sorted by pass id. *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal — shared by
-    every [--json] emitter so none grows its own subtly different one. *)
-
-val to_json : t -> string
+val to_json : t -> Vliw_report.Json.t
 (** One JSON object: [{"pass":..., "severity":..., "where":...,
     "message":...}]. *)
 

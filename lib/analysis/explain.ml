@@ -4,6 +4,7 @@ module Pipeline = Vliw_core.Pipeline
 module WL = Vliw_workloads
 module Pool = Vliw_parallel.Pool
 module D = Diagnostic
+module Json = Vliw_report.Json
 
 type loop_report = {
   bench : string;
@@ -147,60 +148,67 @@ let pp_loop ppf (r : loop_report) =
     r.locality;
   Format.fprintf ppf "@."
 
+let minimal_ii_json (c : Oracle.certification) =
+  match c.Oracle.minimal_ii with Some m -> Json.Int m | None -> Json.Null
+
 let json_of_loop (r : loop_report) =
+  let open Json in
   let a = r.attribution in
   let bound (b : Attribution.bound) =
-    Printf.sprintf {|{"name":"%s","value":%d}|}
-      (D.json_escape b.Attribution.name)
-      b.Attribution.value
+    Obj
+      [ ("name", String b.Attribution.name); ("value", Int b.Attribution.value) ]
   in
-  let budget =
-    String.concat ","
-      (List.map
-         (fun (t : Attribution.term) ->
-           Printf.sprintf {|{"cause":"%s","cycles":%d}|}
-             (D.json_escape t.Attribution.cause)
-             t.Attribution.cycles)
-         a.Attribution.budget)
+  let term (t : Attribution.term) =
+    Obj
+      [
+        ("cause", String t.Attribution.cause);
+        ("cycles", Int t.Attribution.cycles);
+      ]
   in
-  let considered =
-    String.concat ","
-      (List.map (fun (f, est) -> Printf.sprintf "[%d,%d]" f est) r.considered)
+  let locality (b : Locality.bounds) =
+    Obj
+      [
+        ("n_local", Int b.Locality.n_local);
+        ("n_remote", Int b.Locality.n_remote);
+        ("n_mixed", Int b.Locality.n_mixed);
+        ("trip_local", Int b.Locality.trip_local);
+        ("trip_remote", Int b.Locality.trip_remote);
+        ("trip_total", Int b.Locality.trip_total);
+      ]
   in
-  let locality =
-    match r.locality with
-    | None -> "null"
-    | Some b ->
-        Printf.sprintf
-          {|{"n_local":%d,"n_remote":%d,"n_mixed":%d,"trip_local":%d,"trip_remote":%d,"trip_total":%d}|}
-          b.Locality.n_local b.Locality.n_remote b.Locality.n_mixed
-          b.Locality.trip_local b.Locality.trip_remote b.Locality.trip_total
+  let oracle (c : Oracle.certification) =
+    Obj
+      [
+        ("verdict", String (Oracle.verdict_to_string c.Oracle.verdict));
+        ("minimal_ii", minimal_ii_json c);
+        ("proven_floor", Int c.Oracle.infeasible_below);
+        ("decisions", Int c.Oracle.decisions);
+        ("conflicts", Int c.Oracle.conflicts);
+      ]
   in
-  let lints = String.concat "," (List.map D.to_json r.lints) in
-  let oracle =
-    match r.oracle with
-    | None -> "null" (* not attempted: no budget given or II = MII *)
-    | Some c ->
-        Printf.sprintf
-          {|{"verdict":"%s","minimal_ii":%s,"proven_floor":%d,"decisions":%d,"conflicts":%d}|}
-          (Oracle.verdict_to_string c.Oracle.verdict)
-          (match c.Oracle.minimal_ii with
-          | Some m -> string_of_int m
-          | None -> "null")
-          c.Oracle.infeasible_below c.Oracle.decisions c.Oracle.conflicts
-  in
-  Printf.sprintf
-    {|{"bench":"%s","loop":"%s","target":"%s","unroll":%d,"considered":[%s],"ii":%d,"mii":%d,"mii_floor":%d,"rec_mii":%d,"rec_mii_floor":%d,"res_mii":%d,"cluster_bound":%s,"copy_bound":%s,"bus_bound":%d,"binding":"%s","budget":[%s],"locality":%s,"lints":[%s],"oracle":%s}|}
-    (D.json_escape r.bench) (D.json_escape r.loop)
-    (D.json_escape (Pipeline.target_to_string r.target))
-    r.unroll_factor considered a.Attribution.ii a.Attribution.mii
-    a.Attribution.mii_floor a.Attribution.rec_mii
-    a.Attribution.rec_mii_floor a.Attribution.res_mii
-    (bound a.Attribution.cluster_bound)
-    (bound a.Attribution.copy_bound)
-    a.Attribution.bus_bound
-    (D.json_escape a.Attribution.binding)
-    budget locality lints oracle
+  Obj
+    [
+      ("bench", String r.bench); ("loop", String r.loop);
+      ("target", String (Pipeline.target_to_string r.target));
+      ("unroll", Int r.unroll_factor);
+      ( "considered",
+        List
+          (List.map (fun (f, est) -> List [ Int f; Int est ]) r.considered) );
+      ("ii", Int a.Attribution.ii); ("mii", Int a.Attribution.mii);
+      ("mii_floor", Int a.Attribution.mii_floor);
+      ("rec_mii", Int a.Attribution.rec_mii);
+      ("rec_mii_floor", Int a.Attribution.rec_mii_floor);
+      ("res_mii", Int a.Attribution.res_mii);
+      ("cluster_bound", bound a.Attribution.cluster_bound);
+      ("copy_bound", bound a.Attribution.copy_bound);
+      ("bus_bound", Int a.Attribution.bus_bound);
+      ("binding", String a.Attribution.binding);
+      ("budget", List (List.map term a.Attribution.budget));
+      ("locality", Option.fold ~none:Null ~some:locality r.locality);
+      ("lints", List (List.map D.to_json r.lints));
+      (* null when not attempted: no budget given or II = MII *)
+      ("oracle", Option.fold ~none:Null ~some:oracle r.oracle);
+    ]
 
 (* ------------------------------------------------------- leaderboard *)
 
@@ -250,41 +258,51 @@ let pp_leaderboard ppf rows ~budget =
     rows
 
 let json_of_row row =
+  let open Json in
   let c = row.o_cert in
-  let witness =
-    match c.Oracle.witness with
-    | None -> "null"
-    | Some _ ->
-        Printf.sprintf {|{"errors":%d,"warnings":%d}|}
-          (D.n_errors c.Oracle.witness_diags)
-          (D.n_warnings c.Oracle.witness_diags)
+  let probe (p : Oracle.probe) =
+    let result =
+      match p.Oracle.p_sat with
+      | Oracle.Feasible _ -> "sat"
+      | Oracle.Infeasible -> "unsat"
+      | Oracle.Out_of_budget -> "budget"
+    in
+    Obj
+      [
+        ("ii", Int p.Oracle.p_ii); ("result", String result);
+        ("decisions", Int p.Oracle.p_stats.Cpsolver.decisions);
+        ("conflicts", Int p.Oracle.p_stats.Cpsolver.conflicts);
+      ]
   in
-  let probes =
-    String.concat ","
-      (List.map
-         (fun (p : Oracle.probe) ->
-           Printf.sprintf
-             {|{"ii":%d,"result":"%s","decisions":%d,"conflicts":%d}|}
-             p.Oracle.p_ii
-             (match p.Oracle.p_sat with
-             | Oracle.Feasible _ -> "sat"
-             | Oracle.Infeasible -> "unsat"
-             | Oracle.Out_of_budget -> "budget")
-             p.Oracle.p_stats.Cpsolver.decisions
-             p.Oracle.p_stats.Cpsolver.conflicts)
-         c.Oracle.probes)
+  let witness _ =
+    Obj
+      [
+        ("errors", Int (D.n_errors c.Oracle.witness_diags));
+        ("warnings", Int (D.n_warnings c.Oracle.witness_diags));
+      ]
   in
-  Printf.sprintf
-    {|{"bench":"%s","loop":"%s","target":"%s","unroll":%d,"heuristic_ii":%d,"attribution_mii":%d,"floor":%d,"minimal_ii":%s,"infeasible_below":%d,"verdict":"%s","witness":%s,"probes":[%s],"decisions":%d,"conflicts":%d,"sound":%b}|}
-    (D.json_escape row.o_bench) (D.json_escape row.o_loop)
-    (D.json_escape row.o_target) row.o_unroll c.Oracle.heuristic_ii
-    row.o_attr_mii c.Oracle.floor
-    (match c.Oracle.minimal_ii with
-    | Some m -> string_of_int m
-    | None -> "null")
-    c.Oracle.infeasible_below
-    (Oracle.verdict_to_string c.Oracle.verdict)
-    witness probes c.Oracle.decisions c.Oracle.conflicts (Oracle.sound c)
+  Obj
+    [
+      ("bench", String row.o_bench); ("loop", String row.o_loop);
+      ("target", String row.o_target); ("unroll", Int row.o_unroll);
+      ("heuristic_ii", Int c.Oracle.heuristic_ii);
+      ("attribution_mii", Int row.o_attr_mii); ("floor", Int c.Oracle.floor);
+      ("minimal_ii", minimal_ii_json c);
+      ("infeasible_below", Int c.Oracle.infeasible_below);
+      ("verdict", String (Oracle.verdict_to_string c.Oracle.verdict));
+      ("witness", Option.fold ~none:Null ~some:witness c.Oracle.witness);
+      ("probes", List (List.map probe c.Oracle.probes));
+      ("decisions", Int c.Oracle.decisions);
+      ("conflicts", Int c.Oracle.conflicts); ("sound", Bool (Oracle.sound c));
+    ]
+
+let summary_json s =
+  Json.(
+    Obj
+      [
+        ("benchmarks", Int s.benchmarks); ("loops", Int s.loops);
+        ("gaps", Int s.gaps); ("lints", Int s.lints);
+      ])
 
 let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks ?(json = false)
     ?oracle_budget
@@ -323,27 +341,16 @@ let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks ?(json = false)
       leaderboard;
     }
   in
-  if json then begin
-    Format.fprintf ppf
-      "{@.  \"schema_version\": %d,@.  \"summary\": \
-       {\"benchmarks\":%d,\"loops\":%d,\"gaps\":%d,\"lints\":%d},@."
-      schema_version summary.benchmarks summary.loops summary.gaps
-      summary.lints;
-    Format.fprintf ppf "  \"loops\": [@.";
-    List.iteri
-      (fun i r ->
-        Format.fprintf ppf "    %s%s@." (json_of_loop r)
-          (if i < List.length reports - 1 then "," else ""))
-      reports;
-    Format.fprintf ppf "  ],@.";
-    Format.fprintf ppf "  \"leaderboard\": [@.";
-    List.iteri
-      (fun i row ->
-        Format.fprintf ppf "    %s%s@." (json_of_row row)
-          (if i < List.length leaderboard - 1 then "," else ""))
-      leaderboard;
-    Format.fprintf ppf "  ]@.}@."
-  end
+  if json then
+    Format.fprintf ppf "%s%!"
+      (Json.document
+         (Json.Obj
+            [
+              ("schema_version", Json.Int schema_version);
+              ("summary", summary_json summary);
+              ("loops", Json.List (List.map json_of_loop reports));
+              ("leaderboard", Json.List (List.map json_of_row leaderboard));
+            ]))
   else begin
     List.iter
       (fun bench_reports ->

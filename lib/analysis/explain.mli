@@ -47,6 +47,10 @@ val schema_version : int
 (** Version stamp of the [explain --json] (and [analyze --json])
     document shape; bumped on any breaking field change. *)
 
+val summary_json : summary -> Vliw_report.Json.t
+(** The counts of a summary (not its leaderboard) as the JSON object
+    [explain --json] prints under ["summary"]. *)
+
 val explain_bench :
   Vliw_arch.Config.t ->
   seed:int ->

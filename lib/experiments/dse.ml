@@ -51,6 +51,7 @@ module Memo = Vliw_parallel.Memo
 module Stats = Vliw_sim.Stats
 module Machine = Vliw_sim.Machine
 module Table = Vliw_report.Table
+module Json = Vliw_report.Json
 module Attribution = Vliw_analysis.Attribution
 module WL = Vliw_workloads
 
@@ -491,63 +492,54 @@ let pp_human ppf r =
   Table.render ppf (frontier_table r);
   Format.pp_print_newline ppf ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json ppf ?wall_s ?cells_per_s ~memo r =
-  let p fmt = Format.fprintf ppf fmt in
-  p "{@.";
-  p "  \"schema\": 1,@.";
-  p "  \"grid_cells\": %d,@." r.grid_cells_total;
-  p "  \"plan_groups\": %d,@." r.plan_groups;
-  p "  \"compiled_groups\": %d,@." r.compiled_groups;
-  p "  \"evaluated_cells\": %d,@." (List.length r.evaluated);
-  p "  \"pruned_cells\": %d,@." r.pruned_cells;
-  (match wall_s with Some w -> p "  \"wall_s\": %.3f,@." w | None -> ());
-  (match cells_per_s with
-  | Some c -> p "  \"cells_per_s\": %.1f,@." c
-  | None -> ());
-  p "  \"pruned\": [@.";
-  List.iteri
-    (fun i pr ->
-      p "    {\"family\": \"%s\", \"at_buses\": %d, \"skipped_buses\": [%s], \
-         \"skipped_cells\": %d, \"binding\": \"%s\"}%s@."
-        (json_escape pr.p_family) pr.p_at_buses
-        (String.concat ", " (List.map string_of_int pr.p_skipped_buses))
-        pr.p_skipped_cells (json_escape pr.p_binding)
-        (if i = List.length r.pruned - 1 then "" else ","))
-    r.pruned;
-  p "  ],@.";
-  p "  \"memo\": {@.";
-  List.iteri
-    (fun i (name, (s : Memo.stats)) ->
-      p "    \"%s\": {\"size\": %d, \"hits\": %d, \"misses\": %d, \
-         \"evictions\": %d}%s@."
-        (json_escape name) s.Memo.size s.Memo.hits s.Memo.misses
-        s.Memo.evictions
-        (if i = List.length memo - 1 then "" else ","))
-    memo;
-  p "  },@.";
-  p "  \"frontier\": [@.";
-  List.iteri
-    (fun i c ->
-      p "    {\"clusters\": %d, \"interleaving\": %d, \"buses\": %d, \
-         \"occupancy\": %d, \"cache_size\": %d, \"associativity\": %d, \
-         \"ab\": %d, \"cycles\": %d, \"traffic\": %d, \"cost\": %.3f}%s@."
-        c.r_clusters c.r_interleaving c.r_buses c.r_occupancy c.r_cache_size
-        c.r_associativity c.r_ab c.r_cycles c.r_traffic c.r_cost
-        (if i = List.length r.frontier - 1 then "" else ","))
-    r.frontier;
-  p "  ]@.";
-  p "}@."
+  let open Json in
+  let opt name digits = function
+    | Some v -> [ (name, Fixed (digits, v)) ]
+    | None -> []
+  in
+  let pruned pr =
+    Obj
+      [
+        ("family", String pr.p_family); ("at_buses", Int pr.p_at_buses);
+        ("skipped_buses", List (List.map (fun b -> Int b) pr.p_skipped_buses));
+        ("skipped_cells", Int pr.p_skipped_cells);
+        ("binding", String pr.p_binding);
+      ]
+  in
+  let memo_entry (name, (s : Memo.stats)) =
+    ( name,
+      Obj
+        [
+          ("size", Int s.Memo.size); ("hits", Int s.Memo.hits);
+          ("misses", Int s.Memo.misses); ("evictions", Int s.Memo.evictions);
+        ] )
+  in
+  let frontier c =
+    Obj
+      [
+        ("clusters", Int c.r_clusters); ("interleaving", Int c.r_interleaving);
+        ("buses", Int c.r_buses); ("occupancy", Int c.r_occupancy);
+        ("cache_size", Int c.r_cache_size);
+        ("associativity", Int c.r_associativity); ("ab", Int c.r_ab);
+        ("cycles", Int c.r_cycles); ("traffic", Int c.r_traffic);
+        ("cost", Fixed (3, c.r_cost));
+      ]
+  in
+  Format.fprintf ppf "%s%!"
+    (document
+       (Obj
+          ([
+             ("schema", Int 1); ("grid_cells", Int r.grid_cells_total);
+             ("plan_groups", Int r.plan_groups);
+             ("compiled_groups", Int r.compiled_groups);
+             ("evaluated_cells", Int (List.length r.evaluated));
+             ("pruned_cells", Int r.pruned_cells);
+           ]
+          @ opt "wall_s" 3 wall_s
+          @ opt "cells_per_s" 1 cells_per_s
+          @ [
+              ("pruned", List (List.map pruned r.pruned));
+              ("memo", Obj (List.map memo_entry memo));
+              ("frontier", List (List.map frontier r.frontier));
+            ])))

@@ -1,19 +1,15 @@
 (** Wire protocol of the resident compile service: newline-delimited
     JSON, one request per line, one response line per request.
 
-    The toolchain deliberately has no JSON dependency, so this module
-    carries a small self-contained value type, a strict
-    recursive-descent parser (depth-limited, whole-line: trailing bytes
-    after the document are an error), and the string printer the
-    response builders use.  The decoder half maps a parsed document onto
-    the closed request vocabulary with structured errors for every way a
+    The value type, the strict parser and the printer are
+    {!Vliw_report.Json}'s, re-exported here for the protocol's clients.
+    This module adds the decoder that maps a parsed document onto the
+    closed request vocabulary with structured errors for every way a
     line can be wrong — the service's first robustness layer: malformed
     input must yield an ["error"] response, never an exception and never
     a silent drop. *)
 
-(** A parsed JSON document.  Numbers with a fraction or exponent parse
-    as [Float]; everything else integral as [Int]. *)
-type json =
+type json = Vliw_report.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -21,21 +17,17 @@ type json =
   | String of string
   | List of json list
   | Obj of (string * json) list
+  | Fixed of int * float
+  | Int64 of int64
 
 val parse : string -> (json, string) result
-(** Strict parse of one complete document.  Rejects trailing non-space
-    bytes, unterminated strings, bad escapes, nesting deeper than
-    {!max_depth}, and anything else off-grammar — with a
-    position-carrying message. *)
-
-val max_depth : int
-(** Nesting bound of {!parse} (defense against pathological input). *)
+(** {!Vliw_report.Json.parse}. *)
 
 val to_string : json -> string
-(** Canonical single-line rendering (objects keep field order). *)
+(** {!Vliw_report.Json.to_string}. *)
 
 val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
+(** {!Vliw_report.Json.escape}. *)
 
 (** One decoded service request. *)
 type request =

@@ -40,6 +40,7 @@ module Pool = Vliw_parallel.Pool
 module Memo = Vliw_parallel.Memo
 module Sync = Vliw_parallel.Sync
 module Context = Vliw_experiments.Context
+module Json = Vliw_report.Json
 
 let schema_version = 1
 
@@ -249,57 +250,59 @@ let wq_shutdown q workers =
 
 (* --------------------------------------------------- response builders *)
 
-let esc = Proto.escape
+(* One response line: the envelope head (schema, sequence number, the
+   client's id, the request kind), the status-specific fields, and the
+   handler's wall time when timing is on. *)
+let response_line ~seq ?id ?req ?ms fields =
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  Json.to_string
+    (Json.Obj
+       ([ ("schema_version", Json.Int schema_version); ("seq", Json.Int seq) ]
+       @ opt "id" (fun i -> Json.String i) id
+       @ opt "req" (fun k -> Json.String k) req
+       @ fields
+       @ opt "ms" (fun m -> Json.Fixed (3, m)) ms))
 
-let head ~seq ~id ~req =
-  let b = Buffer.create 192 in
-  Buffer.add_string b
-    (Printf.sprintf {|{"schema_version":%d,"seq":%d|} schema_version seq);
-  Option.iter
-    (fun i -> Buffer.add_string b (Printf.sprintf {|,"id":"%s"|} (esc i)))
-    id;
-  Option.iter
-    (fun k -> Buffer.add_string b (Printf.sprintf {|,"req":"%s"|} (esc k)))
-    req;
-  b
+let error_fields ~kind ~detail =
+  Json.
+    [
+      ("status", String "error");
+      ("error", Obj [ ("kind", String kind); ("detail", String detail) ]);
+    ]
 
-let finish_line b ~ms =
-  (match ms with
-  | Some m -> Buffer.add_string b (Printf.sprintf {|,"ms":%.3f|} m)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let error_line ~seq ?id ?req ~kind ~detail () =
-  let b = head ~seq ~id ~req in
-  Buffer.add_string b
-    (Printf.sprintf {|,"status":"error","error":{"kind":"%s","detail":"%s"}|}
-       (esc kind) (esc detail));
-  finish_line b ~ms:None
+let error_line ~seq ~kind ~detail =
+  response_line ~seq (error_fields ~kind ~detail)
 
 let overloaded_line ~seq ~id ~req ~detail =
-  let b = head ~seq ~id ~req:(Some req) in
-  Buffer.add_string b
-    (Printf.sprintf {|,"status":"overloaded","detail":"%s"|} (esc detail));
-  finish_line b ~ms:None
+  response_line ~seq ?id ~req
+    Json.[ ("status", String "overloaded"); ("detail", String detail) ]
 
 let counters_json ?watermark t =
   let accepted, ok, errors, timeouts, internal, shed = tally_read t in
-  Printf.sprintf
-    {|"counters":{"accepted":%d,"ok":%d,"errors":%d,"timeouts":%d,"internal_errors":%d,"shed":%d%s}|}
-    accepted ok errors timeouts internal shed
-    (match watermark with
-    | Some w -> Printf.sprintf {|,"queue_high_watermark":%d|} w
-    | None -> "")
+  ( "counters",
+    Json.(
+      Obj
+        ([
+           ("accepted", Int accepted); ("ok", Int ok); ("errors", Int errors);
+           ("timeouts", Int timeouts); ("internal_errors", Int internal);
+           ("shed", Int shed);
+         ]
+        @
+        match watermark with
+        | Some w -> [ ("queue_high_watermark", Int w) ]
+        | None -> [])) )
 
 let memos_json ctx =
-  let one (name, (st : Memo.stats)) =
-    Printf.sprintf
-      {|{"name":"%s","resident":%d,"hits":%d,"misses":%d,"evictions":%d}|}
-      (esc name) st.Memo.size st.Memo.hits st.Memo.misses st.Memo.evictions
+  let memo (name, (st : Memo.stats)) =
+    Json.(
+      Obj
+        [
+          ("name", String name); ("resident", Int st.Memo.size);
+          ("hits", Int st.Memo.hits); ("misses", Int st.Memo.misses);
+          ("evictions", Int st.Memo.evictions);
+        ])
   in
-  Printf.sprintf {|"memos":[%s]|}
-    (String.concat "," (List.map one (Context.memo_stats ctx)))
+  ("memos", Json.List (List.map memo (Context.memo_stats ctx)))
 
 (* ----------------------------------------------------------- handlers *)
 
@@ -316,17 +319,21 @@ let bench_filter = function
 let null_ppf () = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
 let stats_json st traffic =
-  Printf.sprintf
-    {|"stats":{"total_cycles":%d,"compute_cycles":%d,"stall_cycles":%d,"accesses":%d,"local_hit_ratio":%.6f},"traffic":{%s}|}
-    (Stats.total_cycles st) (Stats.compute_cycles st) (Stats.stall_cycles st)
-    (Stats.total_accesses st)
-    (Stats.local_hit_ratio st)
-    (String.concat ","
-       (List.map
-          (fun (k, v) -> Printf.sprintf {|"%s":%d|} (esc k) v)
-          traffic))
+  Json.
+    [
+      ( "stats",
+        Obj
+          [
+            ("total_cycles", Int (Stats.total_cycles st));
+            ("compute_cycles", Int (Stats.compute_cycles st));
+            ("stall_cycles", Int (Stats.stall_cycles st));
+            ("accesses", Int (Stats.total_accesses st));
+            ("local_hit_ratio", Fixed (6, Stats.local_hit_ratio st));
+          ] );
+      ("traffic", Obj (List.map (fun (k, v) -> (k, Int v)) traffic));
+    ]
 
-(* The request payload: Ok carries the body fragment spliced after
+(* The request payload: Ok carries the fields that follow
    "status":"ok", Error a structured (kind, detail) request error. *)
 let payload ctx (req : Proto.request) =
   match req with
@@ -338,19 +345,21 @@ let payload ctx (req : Proto.request) =
       | None -> Error ("unknown_benchmark", bench)
       | Some b ->
           let spec = Context.interleaved ~chains heuristic in
-          let rows =
-            List.map
-              (fun (c : Pipeline.compiled) ->
-                Printf.sprintf
-                  {|{"loop":"%s","target":"%s","unroll":%d,"ii":%d,"stages":%d,"estimated_cycles":%d}|}
-                  (esc c.Pipeline.source.Loop.name)
-                  (esc (Pipeline.target_to_string c.Pipeline.target))
-                  c.Pipeline.unroll_factor c.Pipeline.schedule.Schedule.ii
-                  (Schedule.stage_count c.Pipeline.schedule)
-                  c.Pipeline.estimated_cycles)
-              (Context.compiled ctx b spec)
+          let row (c : Pipeline.compiled) =
+            Json.(
+              Obj
+                [
+                  ("loop", String c.Pipeline.source.Loop.name);
+                  ( "target",
+                    String (Pipeline.target_to_string c.Pipeline.target) );
+                  ("unroll", Int c.Pipeline.unroll_factor);
+                  ("ii", Int c.Pipeline.schedule.Schedule.ii);
+                  ("stages", Int (Schedule.stage_count c.Pipeline.schedule));
+                  ("estimated_cycles", Int c.Pipeline.estimated_cycles);
+                ])
           in
-          Ok (Printf.sprintf {|"loops":[%s]|} (String.concat "," rows)))
+          let rows = List.map row (Context.compiled ctx b spec) in
+          Ok [ ("loops", Json.List rows) ])
   | Proto.Simulate { bench; arch; heuristic; ab_entries; hints; trip_cap } -> (
       match find_bench bench with
       | None -> Error ("unknown_benchmark", bench)
@@ -367,11 +376,7 @@ let payload ctx (req : Proto.request) =
           let s =
             Analyze.run_all ~cfg:(Context.cfg ctx) ?benchmarks (null_ppf ())
           in
-          Ok
-            (Printf.sprintf
-               {|"summary":{"benchmarks":%d,"loops":%d,"cells":%d,"errors":%d,"warnings":%d,"infos":%d}|}
-               s.Analyze.benchmarks s.Analyze.loops s.Analyze.cells
-               s.Analyze.errors s.Analyze.warnings s.Analyze.infos))
+          Ok [ ("summary", Json.Obj (Analyze.summary_fields s)) ])
   | Proto.Explain { bench } -> (
       match bench_filter bench with
       | Error e -> Error e
@@ -379,11 +384,7 @@ let payload ctx (req : Proto.request) =
           let s =
             Explain.run_all ~cfg:(Context.cfg ctx) ?benchmarks (null_ppf ())
           in
-          Ok
-            (Printf.sprintf
-               {|"summary":{"benchmarks":%d,"loops":%d,"gaps":%d,"lints":%d}|}
-               s.Explain.benchmarks s.Explain.loops s.Explain.gaps
-               s.Explain.lints))
+          Ok [ ("summary", Explain.summary_json s) ])
   | Proto.Oracle { bench; budget } -> (
       match bench_filter bench with
       | Error e -> Error e
@@ -396,20 +397,26 @@ let payload ctx (req : Proto.request) =
           in
           let row (r : Explain.oracle_row) =
             let c = r.Explain.o_cert in
-            Printf.sprintf
-              {|{"bench":"%s","loop":"%s","target":"%s","ii":%d,"floor":%d,"minimal_ii":%s,"proven_floor":%d,"verdict":"%s","decisions":%d,"conflicts":%d}|}
-              (esc r.Explain.o_bench) (esc r.Explain.o_loop)
-              (esc r.Explain.o_target) c.Oracle.heuristic_ii c.Oracle.floor
-              (match c.Oracle.minimal_ii with
-              | Some m -> string_of_int m
-              | None -> "null")
-              c.Oracle.infeasible_below
-              (Oracle.verdict_to_string c.Oracle.verdict)
-              c.Oracle.decisions c.Oracle.conflicts
+            Json.(
+              Obj
+                [
+                  ("bench", String r.Explain.o_bench);
+                  ("loop", String r.Explain.o_loop);
+                  ("target", String r.Explain.o_target);
+                  ("ii", Int c.Oracle.heuristic_ii);
+                  ("floor", Int c.Oracle.floor);
+                  ( "minimal_ii",
+                    Option.fold ~none:Null ~some:(fun m -> Int m)
+                      c.Oracle.minimal_ii );
+                  ("proven_floor", Int c.Oracle.infeasible_below);
+                  ( "verdict",
+                    String (Oracle.verdict_to_string c.Oracle.verdict) );
+                  ("decisions", Int c.Oracle.decisions);
+                  ("conflicts", Int c.Oracle.conflicts);
+                ])
           in
           Ok
-            (Printf.sprintf {|"leaderboard":[%s]|}
-               (String.concat "," (List.map row s.Explain.leaderboard))))
+            [ ("leaderboard", Json.List (List.map row s.Explain.leaderboard)) ])
   | Proto.Sweep_cell
       { bench; buses; ab_entries; cache_size; associativity; trip_cap } -> (
       match find_bench bench with
@@ -487,31 +494,35 @@ let handle_request ctx tally ~wall_times ~default_deadline ~seq
   let ms =
     if wall_times then Some ((Unix.gettimeofday () -. t0) *. 1000.) else None
   in
-  let b = head ~seq ~id:env.Proto.id ~req:(Some kind) in
-  (match outcome with
-  | `Ok body ->
-      bump tally (fun t -> t.t_ok <- t.t_ok + 1);
-      Buffer.add_string b {|,"status":"ok",|};
-      Buffer.add_string b body
-  | `Err (k, d) ->
-      bump tally (fun t -> t.t_errors <- t.t_errors + 1);
-      Buffer.add_string b
-        (Printf.sprintf
-           {|,"status":"error","error":{"kind":"%s","detail":"%s"}|} (esc k)
-           (esc d))
-  | `Timeout (stage, spent, budget) ->
-      bump tally (fun t -> t.t_timeouts <- t.t_timeouts + 1);
-      Buffer.add_string b
-        (Printf.sprintf
-           {|,"status":"timeout","stage":"%s","work":%d,"budget":%d|}
-           (esc stage) spent budget)
-  | `Internal (exn_name, detail) ->
-      bump tally (fun t -> t.t_internal <- t.t_internal + 1);
-      Buffer.add_string b
-        (Printf.sprintf
-           {|,"status":"internal_error","error":{"kind":"exception","exception":"%s","detail":"%s"}|}
-           (esc exn_name) (esc detail)));
-  finish_line b ~ms
+  let fields =
+    match outcome with
+    | `Ok body ->
+        bump tally (fun t -> t.t_ok <- t.t_ok + 1);
+        ("status", Json.String "ok") :: body
+    | `Err (kind, detail) ->
+        bump tally (fun t -> t.t_errors <- t.t_errors + 1);
+        error_fields ~kind ~detail
+    | `Timeout (stage, spent, budget) ->
+        bump tally (fun t -> t.t_timeouts <- t.t_timeouts + 1);
+        Json.
+          [
+            ("status", String "timeout"); ("stage", String stage);
+            ("work", Int spent); ("budget", Int budget);
+          ]
+    | `Internal (exn_name, detail) ->
+        bump tally (fun t -> t.t_internal <- t.t_internal + 1);
+        Json.
+          [
+            ("status", String "internal_error");
+            ( "error",
+              Obj
+                [
+                  ("kind", String "exception"); ("exception", String exn_name);
+                  ("detail", String detail);
+                ] );
+          ]
+  in
+  response_line ~seq ?id:env.Proto.id ~req:kind ?ms fields
 
 (* --------------------------------------------------------- the server *)
 
@@ -542,12 +553,8 @@ let run ?(jobs = 1) ?(queue_cap = 128) ?chaos ?(wall_times = false)
   (* (reason, drain request's seq/id when drained by request) *)
   let stop : (string * (int * string option) option) option ref = ref None in
   let health_line ~seq ~id =
-    let b = head ~seq ~id ~req:(Some "health") in
-    Buffer.add_string b {|,"status":"ok",|};
-    Buffer.add_string b (counters_json tally);
-    Buffer.add_char b ',';
-    Buffer.add_string b (memos_json ctx);
-    finish_line b ~ms:None
+    response_line ~seq ?id ~req:"health"
+      [ ("status", Json.String "ok"); counters_json tally; memos_json ctx ]
   in
   let handle_line line =
     let s = !seq in
@@ -563,7 +570,7 @@ let run ?(jobs = 1) ?(queue_cap = 128) ?chaos ?(wall_times = false)
     match Proto.decode line with
     | Error { Proto.kind; detail } ->
         bump tally (fun t -> t.t_errors <- t.t_errors + 1);
-        emit em s (error_line ~seq:s ~kind ~detail ())
+        emit em s (error_line ~seq:s ~kind ~detail)
     | Ok env -> (
         match env.Proto.req with
         | Proto.Health ->
@@ -624,8 +631,7 @@ let run ?(jobs = 1) ?(queue_cap = 128) ?chaos ?(wall_times = false)
             t.t_errors <- t.t_errors + 1);
         emit em s
           (error_line ~seq:s ~kind:"oversized"
-             ~detail:(Printf.sprintf "request line exceeds %d bytes" max_line)
-             ());
+             ~detail:(Printf.sprintf "request line exceeds %d bytes" max_line));
         Buffer.clear cur;
         cur_dropped := true
       end
@@ -678,15 +684,13 @@ let run ?(jobs = 1) ?(queue_cap = 128) ?chaos ?(wall_times = false)
   in
   let watermark = match wq with None -> 0 | Some q -> Wq.watermark q in
   let drained =
-    let b = head ~seq:drained_seq ~id:drained_id ~req:(Some "drain") in
-    Buffer.add_string b
-      (Printf.sprintf {|,"status":"drained","reason":"%s",|} (esc reason));
-    Buffer.add_string b
-      (counters_json ?watermark:(if wall_times then Some watermark else None)
-         tally);
-    Buffer.add_char b ',';
-    Buffer.add_string b (memos_json ctx);
-    finish_line b ~ms:None
+    response_line ~seq:drained_seq ?id:drained_id ~req:"drain"
+      [
+        ("status", Json.String "drained"); ("reason", Json.String reason);
+        counters_json ?watermark:(if wall_times then Some watermark else None)
+          tally;
+        memos_json ctx;
+      ]
   in
   emit em drained_seq drained;
   (match wq with

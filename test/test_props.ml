@@ -571,6 +571,74 @@ let prop_prng_bound =
       done;
       !ok)
 
+(* ------------------------------------------------------ json printer *)
+
+module Json = Vliw_report.Json
+
+(* A random JSON value nested at most [budget] containers deep: strings
+   over all 256 bytes, ints across the whole range, and finite floats
+   drawn from raw bit patterns, small decimals and large integral values
+   (the 1e15..1e17 band once printed as bare digits). *)
+let rec gen_json rng ~budget =
+  let int bound = Random.State.int rng bound in
+  let str () = String.init (int 10) (fun _ -> Char.chr (int 256)) in
+  let sign () = if Random.State.bool rng then 1.0 else -1.0 in
+  let rec finite_bits () =
+    let f = Int64.float_of_bits (Random.State.bits64 rng) in
+    if Float.is_finite f then f else finite_bits ()
+  in
+  match int (if budget > 0 then 9 else 7) with
+  | 0 -> Json.Null
+  | 1 -> Json.Bool (Random.State.bool rng)
+  | 2 -> (
+      match int 4 with
+      | 0 -> Json.Int max_int
+      | 1 -> Json.Int min_int
+      | _ -> Json.Int (Random.State.bits rng - (1 lsl 29)))
+  | 3 -> Json.String (str ())
+  | 4 -> Json.Float (finite_bits ())
+  | 5 -> Json.Float (sign () *. Float.round (1e14 +. Random.State.float rng 1e18))
+  | 6 -> Json.Float (sign () *. Random.State.float rng 1000.0)
+  | 7 -> Json.List (List.init (int 4) (fun _ -> gen_json rng ~budget:(budget - 1)))
+  | _ ->
+      Json.Obj
+        (List.init (int 4) (fun _ -> (str (), gen_json rng ~budget:(budget - 1))))
+
+(* Wrap a random value in [k] containers, [k] up to the parser's depth
+   bound, so the deepest legal nesting is exercised too. *)
+let gen_deep_json rng ~budget =
+  let k = Random.State.int rng (budget + 1) in
+  let rec wrap k v =
+    if k = 0 then v
+    else if Random.State.bool rng then wrap (k - 1) (Json.List [ v ])
+    else wrap (k - 1) (Json.Obj [ ("k", v) ])
+  in
+  wrap k (gen_json rng ~budget:(budget - k))
+
+let prop_json_roundtrip =
+  make_test ~name:"json printer round-trips: compact, document and Fixed forms"
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let v = gen_deep_json rng ~budget:Json.max_depth in
+      (* A top-level object whose fields include lists, empty ones too,
+         as the [--json] reports print them. *)
+      let doc =
+        Json.Obj
+          [
+            ("value", gen_deep_json rng ~budget:(Json.max_depth - 1));
+            ("empty", Json.List []);
+            ( "rows",
+              Json.List
+                (List.init 3 (fun _ ->
+                     gen_deep_json rng ~budget:(Json.max_depth - 2))) );
+          ]
+      in
+      Json.parse (Json.to_string v) = Ok v
+      && Json.parse (Json.to_string doc) = Ok doc
+      && Json.parse (Json.document doc) = Json.parse (Json.to_string doc)
+      && Json.to_string (Json.Fixed (3, 17.5)) = "17.500"
+      && Json.to_string (Json.Fixed (1, Float.infinity)) = "null")
+
 let suite =
   [
     prop_schedule_validates;
@@ -590,6 +658,7 @@ let suite =
     prop_assignment_within_ladder;
     prop_stacked_bar_width;
     prop_prng_bound;
+    prop_json_roundtrip;
   ]
 
 (* ------------------------------------------------- cache-layer properties *)

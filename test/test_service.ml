@@ -50,6 +50,8 @@ let test_json_rejects_malformed () =
     [
       ""; "{"; "[1,"; {|{"a":}|}; {|"unterminated|}; {|{"a":1}garbage|};
       "tru"; "01a"; {|{"a" 1}|}; "\xff{}"; "\"\x01\"";
+      (* numbers that overflow to an infinity *)
+      "1e999"; "-1e999"; "[1e400]";
       (* nesting past the depth bound *)
       String.concat "" (List.init 40 (fun _ -> "[")) ^ "1"
       ^ String.concat "" (List.init 40 (fun _ -> "]"));
@@ -60,7 +62,10 @@ let test_json_rejects_malformed () =
       match Proto.parse text with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" text)
       | Error _ -> ())
-    bad
+    bad;
+  check cs "overflow message carries the byte position"
+    "number out of range at byte 1"
+    (match Proto.parse "[1e400]" with Ok _ -> "accepted" | Error e -> e)
 
 let decode_err line =
   match Proto.decode line with
