@@ -17,37 +17,46 @@ module Stats = Vliw_sim.Stats
 module Context = Vliw_experiments.Context
 module WL = Vliw_workloads
 
-let show what (r : Access.t) =
-  Format.printf "  %-34s -> %-11s (ready at %d)@." what
-    (Access.kind_to_string r.Access.kind)
-    r.Access.ready_at
-
 let () =
   let cfg = Config.default in
   let c = IC.create ~with_ab:true cfg in
+  let r = Access.scratch () in
+  let show what ~now ~cluster ~addr =
+    IC.access c r ~attract:true ~now ~cluster ~addr ~store:false;
+    Format.printf "  %-34s -> %-11s (ready at %d)@." what
+      (Access.kind_to_string r.Access.s_kind)
+      r.Access.s_ready_at
+  in
   Format.printf "Word 0 lives in cluster 0; cluster 1 wants it.@.";
-  show "cluster 0 reads word 0 (cold)" (IC.access c ~now:0 ~cluster:0 ~addr:0 ~store:false ());
-  show "cluster 1 reads word 0" (IC.access c ~now:100 ~cluster:1 ~addr:0 ~store:false ());
-  show "cluster 1 reads word 0 again" (IC.access c ~now:200 ~cluster:1 ~addr:0 ~store:false ());
-  show "cluster 1 reads word 16 (same subblock)"
-    (IC.access c ~now:300 ~cluster:1 ~addr:16 ~store:false ());
+  show "cluster 0 reads word 0 (cold)" ~now:0 ~cluster:0 ~addr:0;
+  show "cluster 1 reads word 0" ~now:100 ~cluster:1 ~addr:0;
+  show "cluster 1 reads word 0 again" ~now:200 ~cluster:1 ~addr:0;
+  show "cluster 1 reads word 16 (same subblock)" ~now:300 ~cluster:1 ~addr:16;
   IC.end_of_loop c;
-  show "after the inter-loop flush" (IC.access c ~now:400 ~cluster:1 ~addr:0 ~store:false ());
+  show "after the inter-loop flush" ~now:400 ~cluster:1 ~addr:0;
   Format.printf "@.The epicdec overflow (whole-benchmark stall cycles):@.";
   let ctx = Context.create () in
   let bench = WL.Mediabench.find "epicdec" in
   let spec = Context.interleaved `Ipbc in
-  List.iter
-    (fun (label, ab_entries, hints) ->
-      let s =
-        Context.run ctx bench spec
-          ~arch:(Machine.Word_interleaved { attraction_buffers = true })
-          ~ab_entries ~hints ()
-      in
-      Format.printf "  %-28s stall = %d@." label (Stats.stall_cycles s))
+  let points =
     [
       ("16-entry buffers", 16, false);
       ("16-entry buffers + hints", 16, true);
       ("8-entry buffers", 8, false);
       ("8-entry buffers + hints", 8, true);
     ]
+  in
+  (* The four points are cells of one batch: one traversal of each
+     loop's access plan simulates them all. *)
+  let cells =
+    List.map
+      (fun (_, ab_entries, hints) ->
+        Context.cell ~ab_entries ~hints
+          (Machine.Word_interleaved { attraction_buffers = true }))
+      points
+  in
+  List.iter2
+    (fun (label, _, _) (s, _) ->
+      Format.printf "  %-28s stall = %d@." label (Stats.stall_cycles s))
+    points
+    (Context.run_batch ctx bench spec cells)

@@ -193,15 +193,15 @@ let audit_traffic ~arch ~stats ~traffic ?(max_parts = 1) ?(where = "sim") ()
              "unified cache reported %d remote hits / %d remote misses" rh rm));
   List.rev !diags
 
-let audit_addr_plan layout ddg ?(samples = 64) ?(where = "sim") () =
+let audit_addr_plan layout ddg ?(where = "sim") () =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let staged = Layout.addr_fn layout ddg in
-  (* Geometric iteration samples: early iterations, then doublings so
-     footprint wrap-arounds are crossed. *)
+  (* 64 geometric iteration samples: early iterations, then doublings
+     so footprint wrap-arounds are crossed. *)
   let iters =
     List.sort_uniq compare
-      (List.init samples (fun i ->
+      (List.init 64 (fun i ->
            if i < 8 then i else 1 lsl (4 + ((i - 8) mod 24))))
   in
   List.iter

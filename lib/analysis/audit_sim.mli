@@ -69,11 +69,10 @@ val audit_traffic :
 val audit_addr_plan :
   Vliw_workloads.Layout.t ->
   Vliw_ir.Ddg.t ->
-  ?samples:int ->
   ?where:string ->
   unit ->
   Diagnostic.t list
 (** Cross-check the staged per-DDG address plan against the unstaged
-    per-access computation on [samples] (default 64) iteration indices
+    per-access computation on 64 iteration indices
     per memory operation (geometrically spaced so wrap-around points are
     hit), and check granularity alignment. *)

@@ -2,7 +2,8 @@ module Config = Vliw_arch.Config
 module Latency_assign = Vliw_core.Latency_assign
 module D = Diagnostic
 
-let check ?(where = "config") (cfg : Config.t) =
+let check (cfg : Config.t) =
+  let where = "config" in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   (match Config.validate cfg with

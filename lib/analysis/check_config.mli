@@ -19,4 +19,5 @@
       [remote miss - local miss = remote hit - local hit]) (warn:
       legal configuration, but no longer Table 2's machine). *)
 
-val check : ?where:string -> Vliw_arch.Config.t -> Diagnostic.t list
+val check : Vliw_arch.Config.t -> Diagnostic.t list
+(** Every diagnostic is located at ["config"]. *)

@@ -355,8 +355,14 @@ let blocked_description sched =
                   (op_to_string f.pending)))
   |> String.concat "; "
 
-let explore ?(max_execs = 2048) ?(max_steps = 4096) ?(preemption_bound = 4)
-    ~seed scenario =
+(* Exploration bounds: interleavings per scenario, decisions per
+   execution (beyond it the run is a livelock), and preemptions per
+   execution. *)
+let max_execs = 2048
+let max_steps = 4096
+let preemption_bound = 4
+
+let explore ~seed scenario =
   let path : node option array = Array.make (max_steps + 2) None in
   let plen = ref 0 in
   let execs = ref 0 in

@@ -45,17 +45,11 @@ type scenario = {
           explored interleaving. *)
 }
 
-val explore :
-  ?max_execs:int ->
-  ?max_steps:int ->
-  ?preemption_bound:int ->
-  seed:int64 ->
-  scenario ->
-  outcome
-(** Explore the scenario's interleavings.  [max_execs] (default 2048)
-    bounds the number of interleavings ([truncated] reports hitting
-    it); [max_steps] (default 4096) bounds one execution's decisions —
-    exceeding it is reported as [concsan/stuck] (livelock); a deadlock
-    (non-done fibers, nothing enabled) is [concsan/deadlock].  Must be
-    called from a domain with no virtual hook installed (not
+val explore : seed:int64 -> scenario -> outcome
+(** Explore the scenario's interleavings, with at most 4 preemptions
+    per execution.  At most 2048 interleavings are explored
+    ([truncated] reports hitting that bound); 4096 decisions bound one
+    execution — exceeding it is reported as [concsan/stuck] (livelock);
+    a deadlock (non-done fibers, nothing enabled) is [concsan/deadlock].
+    Must be called from a domain with no virtual hook installed (not
     reentrant). *)

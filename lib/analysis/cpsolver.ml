@@ -79,8 +79,6 @@ let mem t v x =
   let { offset; size } = t.vars.(v) in
   x >= 0 && x < size && Bytes.get t.present (offset + x) <> '\000'
 
-let domain_count t v = t.count.(v)
-
 let became_assigned t v =
   (* count just hit 1: find the survivor *)
   let { offset; size } = t.vars.(v) in

@@ -37,11 +37,6 @@ val value : t -> int -> int
 
 val is_assigned : t -> int -> bool
 
-val mem : t -> int -> int -> bool
-(** [mem t v x] — is value [x] still in the domain of [v]? *)
-
-val domain_count : t -> int -> int
-
 val remove : t -> int -> int -> unit
 (** Prune one value (no-op if already absent).  Trailed.  Raises
     {!Conflict} on wipe-out; a domain reduced to one value becomes

@@ -21,8 +21,6 @@ val error : pass:string -> where:string -> ('a, Format.formatter, unit, t) forma
 val warn : pass:string -> where:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 val info : pass:string -> where:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 
-val severity_to_string : severity -> string
-
 val n_errors : t list -> int
 val n_warnings : t list -> int
 val n_infos : t list -> int

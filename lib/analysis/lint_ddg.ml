@@ -6,6 +6,8 @@ module Ddg = Vliw_ir.Ddg
 module Mii = Vliw_ir.Mii
 module D = Diagnostic
 
+(* Iteration distances above this are flagged as absurd: no unroll
+   factor or recurrence in the suite comes close. *)
 let max_sane_distance = 64
 
 (* ------------------------------------------------------- structural *)

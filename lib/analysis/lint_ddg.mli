@@ -30,10 +30,6 @@
     so corrupted graphs that {!Vliw_ir.Ddg.make} would reject (mutation
     tests, future frontends) can still be linted. *)
 
-val max_sane_distance : int
-(** Iteration distances above this are flagged as absurd (64: no unroll
-    factor or recurrence in the suite comes close). *)
-
 val lint_raw :
   ?latency:(int -> int) ->
   ?where:string ->

@@ -20,18 +20,12 @@ module Lattice = struct
      construction. *)
   type t = { m : int; bits : bool array }
 
-  let modulus t = t.m
-
   let check_modulus m =
     if m < 1 then invalid_arg "Locality.Lattice: modulus < 1"
 
   let bot ~modulus =
     check_modulus modulus;
     { m = modulus; bits = Array.make modulus false }
-
-  let top ~modulus =
-    check_modulus modulus;
-    { m = modulus; bits = Array.make modulus true }
 
   let reduce m r =
     let r = r mod m in
@@ -62,12 +56,7 @@ module Lattice = struct
     !ok
 
   let equal a b = a.m = b.m && a.bits = b.bits
-  let is_bot t = Array.for_all not t.bits
   let mem t r = t.bits.(reduce t.m r)
-
-  let shift t k =
-    let k = reduce t.m k in
-    { t with bits = Array.init t.m (fun i -> t.bits.(reduce t.m (i - k))) }
 
   let step_closure t step =
     let step = reduce t.m step in
@@ -99,11 +88,6 @@ module Lattice = struct
 
   let cardinal t =
     Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 t.bits
-
-  let pp ppf t =
-    Format.fprintf ppf "{%s} mod %d"
-      (String.concat "," (List.map string_of_int (residues t)))
-      t.m
 end
 
 (* -------------------------------------------------- transfer function *)
@@ -145,11 +129,6 @@ let op_stream cfg layout (m : Mem_access.t) =
 (* ------------------------------------------------------ classification *)
 
 type verdict = Local | Remote | Mixed
-
-let verdict_to_string = function
-  | Local -> "local"
-  | Remote -> "remote"
-  | Mixed -> "mixed"
 
 let touched_clusters cfg ~parts stream =
   let i_factor = cfg.Config.interleaving_factor in

@@ -28,10 +28,7 @@
 module Lattice : sig
   type t
 
-  val modulus : t -> int
-
   val bot : modulus:int -> t
-  val top : modulus:int -> t
 
   val of_residue : modulus:int -> int -> t
   (** Singleton abstract stream; the residue is reduced into
@@ -48,12 +45,8 @@ module Lattice : sig
 
   val leq : t -> t -> bool
   val equal : t -> t -> bool
-  val is_bot : t -> bool
   val mem : t -> int -> bool
   (** [mem t r] — is residue [r mod modulus] in the abstract stream? *)
-
-  val shift : t -> int -> t
-  (** Abstract effect of adding a constant to every address. *)
 
   val step_closure : t -> int -> t
   (** Smallest superset closed under adding [step]: the abstract effect
@@ -64,7 +57,6 @@ module Lattice : sig
   (** Ascending members of the set. *)
 
   val cardinal : t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 val locality_modulus : Vliw_arch.Config.t -> int
@@ -85,8 +77,6 @@ val op_stream :
     visits. *)
 
 type verdict = Local | Remote | Mixed
-
-val verdict_to_string : verdict -> string
 
 val classify :
   Vliw_arch.Config.t -> assigned:int -> parts:int -> Lattice.t -> verdict

@@ -6,7 +6,6 @@ module Scc = Vliw_ir.Scc
 module Engine = Vliw_sched.Engine
 module Resources = Vliw_sched.Resources
 module Schedule = Vliw_sched.Schedule
-module Regpressure = Vliw_sched.Regpressure
 module S = Cpsolver
 
 type decision = Feasible of Schedule.t | Infeasible | Out_of_budget
@@ -32,8 +31,7 @@ type copy_info = {
   cpvar : int;  (** slot in [0, ii), or [ii] = absent *)
 }
 
-let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ?reg_limit ~ii
-    ~budget () =
+let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
   if ii <= 0 then invalid_arg "Oracle.decide: ii must be positive";
   let n = Ddg.n_ops ddg in
   if n = 0 then invalid_arg "Oracle.decide: empty loop";
@@ -197,7 +195,6 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ?reg_limit ~ii
   let op_accounted = Array.make n false in
   let copy_active = Array.make ncopies false in
   let copy_accounted = Array.make ncopies false in
-  let unassigned_vars = ref nvars in
   (* Aggregate feasibility over whole clusters: every unassigned op must
      still fit some cluster's leftover class capacity and issue room. *)
   let check_residuals () =
@@ -494,18 +491,11 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ?reg_limit ~ii
     { Schedule.ii; n_clusters = nc; cluster; start; copies = !cps }
   in
   let on_var v =
-    decr unassigned_vars;
-    S.post_undo s (fun () -> incr unassigned_vars);
     (match var_kind.(v) with
     | 0 -> cluster_assigned v
     | 1 -> try_account_op var_obj.(v)
     | _ -> account_copy var_obj.(v));
-    List.iter check_rec recs_of_var.(v);
-    match reg_limit with
-    | Some limit when !unassigned_vars = 0 ->
-        let ml = Regpressure.max_live ddg ~latency (realize ()) in
-        if Array.exists (fun x -> x > limit) ml then raise S.Conflict
-    | _ -> ()
+    List.iter check_rec recs_of_var.(v)
   in
   S.on_assign s on_var;
   (* --- decision order and value orders --------------------------- *)
@@ -624,7 +614,7 @@ let lower_bound cfg ddg ~latency =
     (Resources.res_mii cfg ddg)
     (Vliw_ir.Mii.rec_mii (Ddg.make (Ddg.ops ddg) kept) ~latency)
 
-let certify cfg ddg ~latency ?(allow_cross_cluster_mem = false) ?reg_limit
+let certify cfg ddg ~latency ?(allow_cross_cluster_mem = false)
     ?(budget = default_budget) ~heuristic_ii () =
   let floor = min (lower_bound cfg ddg ~latency) heuristic_ii in
   let probes = ref [] and dec = ref 0 and conf = ref 0 in
@@ -665,7 +655,7 @@ let certify cfg ddg ~latency ?(allow_cross_cluster_mem = false) ?reg_limit
       in
       Cancel.set_stage (stage_of ii);
       let d, st =
-        decide cfg ddg ~latency ~allow_cross_cluster_mem ?reg_limit ~ii
+        decide cfg ddg ~latency ~allow_cross_cluster_mem ~ii
           ~budget:effective_budget ()
       in
       probes := { p_ii = ii; p_sat = d; p_stats = st } :: !probes;

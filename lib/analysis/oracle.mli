@@ -36,16 +36,15 @@ val decide :
   Vliw_ir.Ddg.t ->
   latency:(int -> int) ->
   ?allow_cross_cluster_mem:bool ->
-  ?reg_limit:int ->
   ii:int ->
   budget:int ->
   unit ->
   decision * Cpsolver.stats
 (** Decide one II.  [budget] bounds both solver decisions and conflicts
-    for this probe.  [reg_limit], when given, additionally rejects total
-    assignments whose canonical earliest-start realization exceeds the
-    per-cluster MaxLive limit (the heuristic pipeline only warns on
-    pressure, so the leaderboard runs without it). *)
+    for this probe.  Register pressure is not a constraint: the
+    heuristic pipeline only warns on it, so the encoding leaves it out
+    and {!Verify_schedule} reports a witness's MaxLive like any other
+    schedule's. *)
 
 type verdict =
   | Optimal  (** heuristic II = certified minimum = MII floor *)
@@ -66,7 +65,12 @@ type probe = {
 }
 
 type certification = {
-  floor : int;  (** search floor: MII under the assigned latencies *)
+  floor : int;
+      (** search floor under the assigned latencies: ResMII joined with
+          the RecMII of the flow/memory edge subgraph.  Cross-cluster
+          [Reg_anti]/[Reg_out] dependences are unconstrained in this
+          machine model, so the certified minimum may lie below the
+          attribution tower's MII. *)
   heuristic_ii : int;  (** the standing verified upper bound *)
   minimal_ii : int option;  (** certified minimum when the bracket closed *)
   infeasible_below : int;
@@ -86,22 +90,11 @@ val default_budget : int
 (** Per-II decision/conflict budget used by the leaderboard when
     [--oracle-budget] is not given: 300_000. *)
 
-val lower_bound :
-  Vliw_arch.Config.t -> Vliw_ir.Ddg.t -> latency:(int -> int) -> int
-(** The certified floor {!certify} starts from: ResMII joined with the
-    RecMII of the flow/memory edge subgraph.  Deliberately {e not}
-    [Resources.mii]: cross-cluster [Reg_anti]/[Reg_out] dependences are
-    unconstrained in this machine model, so recurrences containing them
-    can legally schedule below the classic RecMII by splitting across
-    clusters — the oracle may certify a minimum below the attribution
-    tower's MII in that case. *)
-
 val certify :
   Vliw_arch.Config.t ->
   Vliw_ir.Ddg.t ->
   latency:(int -> int) ->
   ?allow_cross_cluster_mem:bool ->
-  ?reg_limit:int ->
   ?budget:int ->
   heuristic_ii:int ->
   unit ->

@@ -7,7 +7,8 @@ module Schedule = Vliw_sched.Schedule
 module Regpressure = Vliw_sched.Regpressure
 module D = Diagnostic
 
-let default_reg_limit = 64
+(* Registers per cluster. *)
+let reg_limit = 64
 
 let check_range cfg ddg ~where (t : Schedule.t) =
   let n = Ddg.n_ops ddg in
@@ -248,7 +249,7 @@ let check_resources cfg ddg ~where (t : Schedule.t) =
     bus;
   List.rev !diags
 
-let check_lifetimes ddg ~latency ~reg_limit ~where (t : Schedule.t) =
+let check_lifetimes ddg ~latency ~where (t : Schedule.t) =
   let ii = t.Schedule.ii in
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -290,7 +291,7 @@ let check_lifetimes ddg ~latency ~reg_limit ~where (t : Schedule.t) =
   List.rev !diags
 
 let verify cfg ddg ~latency ?(allow_cross_cluster_mem = false)
-    ?(reg_limit = default_reg_limit) ?(where = "sched") (t : Schedule.t) =
+    ?(where = "sched") (t : Schedule.t) =
   let range = check_range cfg ddg ~where t in
   if D.has_errors range then range
   else
@@ -305,4 +306,4 @@ let verify cfg ddg ~latency ?(allow_cross_cluster_mem = false)
     @ check_dependences ddg ~latency ~allow_cross_cluster_mem ~where t
     @ check_copies cfg ddg ~latency ~where t
     @ check_resources cfg ddg ~where t
-    @ check_lifetimes ddg ~latency ~reg_limit ~where t
+    @ check_lifetimes ddg ~latency ~where t

@@ -32,18 +32,14 @@
       iterations' instances overlap (info: the simulator's stall-on-use
       model needs no modulo variable expansion, but the count sizes the
       rotating-register requirement of real hardware);
-    - ["sched/regpressure"] — per-cluster MaxLive above [reg_limit]
-      (warn). *)
-
-val default_reg_limit : int
-(** 64 registers per cluster. *)
+    - ["sched/regpressure"] — per-cluster MaxLive above the
+      64-register budget (warn). *)
 
 val verify :
   Vliw_arch.Config.t ->
   Vliw_ir.Ddg.t ->
   latency:(int -> int) ->
   ?allow_cross_cluster_mem:bool ->
-  ?reg_limit:int ->
   ?where:string ->
   Vliw_sched.Schedule.t ->
   Diagnostic.t list

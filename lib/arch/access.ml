@@ -1,11 +1,8 @@
 type kind = Local_hit | Remote_hit | Local_miss | Remote_miss | Combined
 
-type t = { kind : kind; ready_at : int }
-
 type scratch = { mutable s_kind : kind; mutable s_ready_at : int }
 
 let scratch () = { s_kind = Local_hit; s_ready_at = 0 }
-let of_scratch s = { kind = s.s_kind; ready_at = s.s_ready_at }
 
 let latency (cfg : Config.t) = function
   | Local_hit -> cfg.Config.lat_local_hit

@@ -5,22 +5,15 @@
 
 type kind = Local_hit | Remote_hit | Local_miss | Remote_miss | Combined
 
-type t = {
-  kind : kind;
-  ready_at : int;  (** absolute cycle at which the datum is available *)
-}
-
-(** Mutable result slot for the allocation-free access entry points
-    ([access_into] in the cache models): the caller allocates one
-    scratch up front and every access overwrites it, so the simulation
-    hot loop never allocates an access record. *)
+(** Mutable result slot of the cache models' [access]: the caller
+    allocates one scratch up front and every access overwrites it with
+    the classification and the absolute cycle at which the datum is
+    available, so the simulation hot loop never allocates an access
+    record. *)
 type scratch = { mutable s_kind : kind; mutable s_ready_at : int }
 
 val scratch : unit -> scratch
 (** A fresh scratch slot (initialized to a local hit at cycle 0). *)
-
-val of_scratch : scratch -> t
-(** Snapshot the scratch into an immutable {!t} (allocates). *)
 
 val latency : Config.t -> kind -> int
 (** Architectural latency of a non-combined access class.

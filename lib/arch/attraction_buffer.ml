@@ -21,5 +21,4 @@ let attract t ~cluster ~block ~home =
   ignore (Set_assoc.insert t.buffers.(cluster) (key t ~block ~home))
 
 let flush t = Array.iter Set_assoc.flush t.buffers
-let flush_cluster t c = Set_assoc.flush t.buffers.(c)
 let occupancy t c = Set_assoc.occupancy t.buffers.(c)

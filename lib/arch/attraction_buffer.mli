@@ -19,7 +19,5 @@ val attract : t -> cluster:int -> block:int -> home:int -> unit
 val flush : t -> unit
 (** Empty every cluster's buffer (executed between loops). *)
 
-val flush_cluster : t -> int -> unit
-
 val occupancy : t -> int -> int
 (** Valid entries in one cluster's buffer. *)

@@ -77,7 +77,7 @@ let invalidate_others t ~block ~except =
       drop_state t ~cluster:c ~block)
     victims
 
-let access_into t (out : Access.scratch) ~now ~cluster ~addr ~store =
+let access t (out : Access.scratch) ~now ~cluster ~addr ~store =
   let cfg = t.cfg in
   let block = Config.block_of_addr cfg addr in
   let k = key t ~cluster ~block in
@@ -128,11 +128,6 @@ let access_into t (out : Access.scratch) ~now ~cluster ~addr ~store =
           out.Access.s_kind <- Access.Local_miss;
           out.Access.s_ready_at <- ready
         end
-
-let access t ~now ~cluster ~addr ~store =
-  let out = Access.scratch () in
-  access_into t out ~now ~cluster ~addr ~store;
-  Access.of_scratch out
 
 let end_of_loop t = Int_table.reset t.pending
 

@@ -13,12 +13,11 @@ type t
 
 val create : Config.t -> t
 
-val access : t -> now:int -> cluster:int -> addr:int -> store:bool -> Access.t
-
-val access_into :
+val access :
   t -> Access.scratch -> now:int -> cluster:int -> addr:int -> store:bool -> unit
-(** Allocation-free variant of {!access}: identical semantics, result
-    written into the caller's scratch slot. *)
+(** One word access at absolute cycle [now] from [cluster]; the
+    classification and ready cycle are written into the caller's
+    scratch slot (no allocation). *)
 
 val end_of_loop : t -> unit
 (** Forget pending-fill bookkeeping (cache contents persist; the
@@ -40,4 +39,3 @@ type traffic = {
 val traffic : t -> traffic
 (** Live counters (mutable so the access path can bump them without
     allocating a record per access) — read, don't write. *)
-

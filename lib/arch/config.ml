@@ -77,6 +77,16 @@ let validate t =
       (t.block_size mod (t.n_clusters * t.interleaving_factor) = 0)
       "block must hold at least one interleaving unit per cluster"
   in
+  (* The multiVLIW splits each cluster's module into sets, the other
+     caches the whole cache: whole sets per module give both. *)
+  let module_blocks = t.cache_size / t.n_clusters / t.block_size in
+  let* () =
+    check
+      (t.associativity > 0
+      && module_blocks >= t.associativity
+      && module_blocks mod t.associativity = 0)
+      "associativity must divide the block count of one cluster's module"
+  in
   let* () =
     check
       (t.lat_local_hit <= t.lat_remote_hit
@@ -85,8 +95,10 @@ let validate t =
       "memory latencies must be ordered LH <= RH <= LM <= RM"
   in
   check
-    (t.ab_entries mod t.ab_associativity = 0)
-    "ab_entries must be divisible by ab_associativity"
+    (t.ab_associativity > 0
+    && t.ab_entries mod t.ab_associativity = 0
+    && t.ab_entries >= t.ab_associativity)
+    "ab_entries must be a positive multiple of ab_associativity"
 
 (* The record is all immediate fields, so Marshal is a canonical byte
    representation: two configs digest equal iff every field is equal. *)

@@ -49,7 +49,11 @@ val cluster_of_addr : t -> int -> int
 val block_of_addr : t -> int -> int
 
 val validate : t -> (unit, string) result
-(** Check internal consistency (powers of two, divisibility). *)
+(** Check internal consistency: powers of two, divisibility, ordered
+    latencies, and a cache geometry the cache models can build — the
+    associativity divides the block count of one cluster's module (and
+    so of the whole cache), and the attraction buffer has at least one
+    set. *)
 
 val fingerprint : t -> string
 (** A short hex digest covering every field — equal iff the two

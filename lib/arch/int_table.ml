@@ -76,5 +76,3 @@ let reset t =
     Array.fill t.keys 0 (t.mask + 1) (-1);
     t.live <- 0
   end
-
-let length t = t.live

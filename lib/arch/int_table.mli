@@ -22,6 +22,3 @@ val find : t -> int -> default:int -> int
 
 val reset : t -> unit
 (** Remove every binding, keeping the allocated capacity. *)
-
-val length : t -> int
-(** Number of live bindings. *)

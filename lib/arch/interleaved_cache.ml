@@ -27,9 +27,6 @@ let create ?(with_ab = false) cfg =
     pending = Int_table.create 64;
   }
 
-let config t = t.cfg
-let has_ab t = Option.is_some t.ab
-
 let pending_key t ~block ~home = (block * t.cfg.Config.n_clusters) + home
 
 (* -1 = nothing in flight for that subblock (ready cycles are >= 0). *)
@@ -42,11 +39,10 @@ let pending_ready t ~now ~block ~home =
 let set_pending t ~block ~home ~ready =
   Int_table.set t.pending (pending_key t ~block ~home) ready
 
-(* The allocation-free core: writes the classification and ready cycle
-   into [out] instead of returning a fresh record.  [attract] is a
-   mandatory label here — the optional-argument wrapper below would
-   otherwise box a [Some b] on every call from the simulation loop. *)
-let access_into t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
+(* Writes the classification and ready cycle into [out], so the
+   simulation loop allocates no result.  [attract] is a mandatory label:
+   an optional argument would box a [Some b] on every call. *)
+let access t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
   let cfg = t.cfg in
   let home = Config.cluster_of_addr cfg addr in
   let block = Config.block_of_addr cfg addr in
@@ -107,18 +103,11 @@ let access_into t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
       out.Access.s_ready_at <- ready
     end
 
-let access t ?(attract = true) ~now ~cluster ~addr ~store () =
-  let out = Access.scratch () in
-  access_into t out ~attract ~now ~cluster ~addr ~store;
-  Access.of_scratch out
-
 let end_of_loop t =
   Int_table.reset t.pending;
   match t.ab with Some ab -> Attraction_buffer.flush ab | None -> ()
 
 let ab_occupancy t c =
   match t.ab with Some ab -> Attraction_buffer.occupancy ab c | None -> 0
-
-let resident t ~block = Set_assoc.contains t.tags block
 
 let traffic t = t.stats

@@ -15,19 +15,7 @@ type t
 val create : ?with_ab:bool -> Config.t -> t
 (** [with_ab] defaults to [false]. *)
 
-val config : t -> Config.t
-val has_ab : t -> bool
-
 val access :
-  t -> ?attract:bool -> now:int -> cluster:int -> addr:int -> store:bool ->
-  unit -> Access.t
-(** Perform one word access at absolute cycle [now] from [cluster].
-    Updates tags, pending-request state and attraction buffers; returns
-    the classification and the cycle the datum is ready.
-    [attract] (default [true]) lets the compiler's "attractable" hints
-    suppress attraction for loads that would thrash the buffer. *)
-
-val access_into :
   t ->
   Access.scratch ->
   attract:bool ->
@@ -36,10 +24,13 @@ val access_into :
   addr:int ->
   store:bool ->
   unit
-(** Allocation-free variant of {!access}: identical semantics, but the
-    result is written into the caller's scratch slot and [attract] is a
-    mandatory label (an optional argument would box on every call).
-    This is the entry point of the simulator's steady-state loop. *)
+(** Perform one word access at absolute cycle [now] from [cluster].
+    Updates tags, pending-request state and attraction buffers, and
+    writes the classification and the cycle the datum is ready into the
+    caller's scratch slot (no allocation).  [attract] lets the
+    compiler's "attractable" hints suppress attraction for loads that
+    would thrash the buffer; it is a mandatory label because an
+    optional argument would box on every call. *)
 
 val end_of_loop : t -> unit
 (** Flush attraction buffers and forget pending requests — executed
@@ -47,9 +38,6 @@ val end_of_loop : t -> unit
 
 val ab_occupancy : t -> int -> int
 (** Valid attraction-buffer entries of one cluster (0 without ABs). *)
-
-val resident : t -> block:int -> bool
-(** Tag check without side effects (for tests). *)
 
 (** Memory-bus traffic counters.  The word-interleaved design needs no
     coherence protocol: its traffic is plain requests and fills, which is

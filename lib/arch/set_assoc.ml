@@ -22,9 +22,6 @@ let create ~sets ~ways =
     clock = 0;
   }
 
-let sets t = t.n_sets
-let ways t = t.n_ways
-
 let set_of t key = key mod t.n_sets
 
 let find_way t key =
@@ -81,8 +78,3 @@ let occupancy t =
     (fun acc set ->
       Array.fold_left (fun acc e -> if e.valid then acc + 1 else acc) acc set)
     0 t.entries
-
-let iter_keys t f =
-  Array.iter
-    (fun set -> Array.iter (fun e -> if e.valid then f e.key) set)
-    t.entries

@@ -9,9 +9,6 @@ type t
 val create : sets:int -> ways:int -> t
 (** @raise Invalid_argument if either argument is non-positive. *)
 
-val sets : t -> int
-val ways : t -> int
-
 val contains : t -> int -> bool
 (** Presence check without touching LRU state. *)
 
@@ -30,5 +27,3 @@ val flush : t -> unit
 
 val occupancy : t -> int
 (** Number of valid entries. *)
-
-val iter_keys : t -> (int -> unit) -> unit

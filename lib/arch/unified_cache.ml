@@ -20,7 +20,7 @@ let create ~slow (cfg : Config.t) =
 
 let hit_latency t = t.hit_lat
 
-let access_into t (out : Access.scratch) ~now ~addr =
+let access t (out : Access.scratch) ~now ~addr =
   let block = Config.block_of_addr t.cfg addr in
   let ready = Int_table.find t.pending block ~default:(-1) in
   if ready > now then begin
@@ -38,10 +38,5 @@ let access_into t (out : Access.scratch) ~now ~addr =
     out.Access.s_kind <- Access.Local_miss;
     out.Access.s_ready_at <- ready
   end
-
-let access t ~now ~addr =
-  let out = Access.scratch () in
-  access_into t out ~now ~addr;
-  Access.of_scratch out
 
 let end_of_loop t = Int_table.reset t.pending

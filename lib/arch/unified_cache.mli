@@ -11,11 +11,9 @@ val create : slow:bool -> Config.t -> t
 
 val hit_latency : t -> int
 
-val access : t -> now:int -> addr:int -> Access.t
-
-val access_into : t -> Access.scratch -> now:int -> addr:int -> unit
-(** Allocation-free variant of {!access}: identical semantics, result
-    written into the caller's scratch slot. *)
+val access : t -> Access.scratch -> now:int -> addr:int -> unit
+(** One access at absolute cycle [now]; the classification and ready
+    cycle are written into the caller's scratch slot (no allocation). *)
 
 val end_of_loop : t -> unit
 (** Forget pending-fill bookkeeping between loops. *)

@@ -8,11 +8,8 @@ type policy =
   | Ipbc of Chains.t * Profile.t
   | Preferred_no_chains of Profile.t
 
-let chain_votes chains profile c =
-  Profile.weighted_accesses profile (Chains.members chains c)
-
 let chain_cluster chains profile c =
-  let votes = chain_votes chains profile c in
+  let votes = Profile.weighted_accesses profile (Chains.members chains c) in
   let best = ref 0 in
   Array.iteri (fun i v -> if v > votes.(!best) then best := i) votes;
   !best

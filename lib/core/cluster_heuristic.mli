@@ -27,9 +27,3 @@ val hooks : Vliw_ir.Ddg.t -> policy -> Vliw_sched.Engine.hooks
 val chain_cluster : Chains.t -> Profile.t -> int -> int
 (** The average preferred cluster of a chain: the cluster with the
     largest access-weighted vote over the chain's members. *)
-
-val chain_votes : Chains.t -> Profile.t -> int -> float array
-(** The per-cluster access-weighted vote vector {!chain_cluster} reduces
-    with argmax — the profile evidence behind an IPBC pin, exposed so
-    the attribution analyzer can report how contested the pin was and
-    what the runner-up cluster would have been. *)

@@ -11,8 +11,8 @@ let attraction_benefit (p : Profile.op_profile) ~assigned_cluster =
   in
   float_of_int p.Profile.accesses *. p.Profile.hit_rate *. remote_fraction
 
-let attractable (cfg : Config.t) ddg ~profile ~(schedule : Schedule.t) ?k () =
-  let k = Option.value ~default:(max 1 (cfg.Config.ab_entries / 2)) k in
+let attractable (cfg : Config.t) ddg ~profile ~(schedule : Schedule.t) =
+  let k = max 1 (cfg.Config.ab_entries / 2) in
   let n = Ddg.n_ops ddg in
   let scored = ref [] in
   for i = 0 to n - 1 do

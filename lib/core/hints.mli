@@ -6,22 +6,17 @@
     reduction it can expect from attraction and marks only the top K as
     attractable, with K bounded by the buffer capacity. *)
 
-val attraction_benefit :
-  Profile.op_profile -> assigned_cluster:int -> float
-(** Expected remote hits per profile run: accesses x hit-rate x fraction
-    of references not homed at the assigned cluster.  Remote *hits* are
-    what attraction converts into local hits. *)
-
 val attractable :
   Vliw_arch.Config.t ->
   Vliw_ir.Ddg.t ->
   profile:Profile.t ->
   schedule:Vliw_sched.Schedule.t ->
-  ?k:int ->
-  unit ->
   bool array
-(** Per-operation flag; [k] defaults to half the configured buffer entry
-    count — a strided load keeps about two subblocks in flight (the one
-    it walks and the one it is entering), so K = entries/2 instructions
-    is what fits without overflow.  Loads only — stores do not attract
-    data in this design. *)
+(** Per-operation flag.  A load's score is its expected remote hits per
+    profile run (accesses x hit-rate x fraction of references not homed
+    at its assigned cluster): remote *hits* are what attraction converts
+    into local hits.  K is half the configured buffer entry count — a
+    strided load keeps about two subblocks in flight (the one it walks
+    and the one it is entering), so K = entries/2 instructions is what
+    fits without overflow.  Loads only — stores do not attract data in
+    this design. *)

@@ -10,8 +10,8 @@ let all =
     ("fig8", Fig8.run);
     ("ablation-hints", Ablation_hints.run);
     ("ablation-chains", Ablation_chains.run);
-    ("ablation-interleave", Ablation_interleave.run);
-    ("ablation-clusters", Ablation_clusters.run);
+    ("ablation-interleave", Ablation_machine.run Interleaving);
+    ("ablation-clusters", Ablation_machine.run Clusters);
     ("ablation-traffic", Ablation_traffic.run);
     ("ablation-unroll", Ablation_unroll.run);
     ("csv", Csv_export.run);

@@ -25,25 +25,19 @@ type t = {
          and Profiling.memoized's loop index and unroll factor *)
 }
 
-(* Default memo bounds: far above what any single-figure run touches
-   (the whole suite across every spec is under a hundred compile keys)
-   yet a hard ceiling for fleet-scale sweeps, whose distinct
-   (benchmark, config) keys scale with the grid.  Eviction only costs a
-   recompute, so results never depend on the caps. *)
-let default_compile_cap = 1024
-let default_trace_cap = 8192
-let default_oracle_cap = 1024
-let default_profile_cap = 4096
-
-let create ?(cfg = Config.default) ?(seed = 7)
-    ?(compile_cap = default_compile_cap) ?(trace_cap = default_trace_cap) () =
+(* Memo bounds: far above what any single-figure run touches (the
+   whole suite across every spec is under a hundred compile keys) yet a
+   hard ceiling for fleet-scale sweeps, whose distinct (benchmark,
+   config) keys scale with the grid.  Eviction only costs a recompute,
+   so results never depend on the caps. *)
+let create ?(cfg = Config.default) ?(seed = 7) () =
   {
     cfg;
     seed;
-    compiles = Memo.create ~cap:compile_cap ();
-    traces = Memo.create ~cap:trace_cap ();
-    oracles = Memo.create ~cap:default_oracle_cap ();
-    profiles = Memo.create ~cap:default_profile_cap ();
+    compiles = Memo.create ~cap:1024 ();
+    traces = Memo.create ~cap:8192 ();
+    oracles = Memo.create ~cap:1024 ();
+    profiles = Memo.create ~cap:4096 ();
   }
 
 let cfg t = t.cfg
@@ -131,7 +125,7 @@ let trace t bench spec ~index (c : Pipeline.compiled) =
 
 let attractable_flags cfg (c : Pipeline.compiled) =
   Vliw_core.Hints.attractable cfg c.Pipeline.loop.Loop.ddg
-    ~profile:c.Pipeline.profile ~schedule:c.Pipeline.schedule ()
+    ~profile:c.Pipeline.profile ~schedule:c.Pipeline.schedule
 
 (* ------------------------------------------------------------------ *)
 (* The runner: many cache configurations over one compiled plan.
@@ -169,11 +163,15 @@ let cell_cfg t cl =
   | None -> base
   | Some n -> { base with Config.ab_entries = n }
 
-(* A cell config may vary everything simulation-side, but the plan bakes
-   in the cluster count and interleaving factor — a mismatch would have
-   the executor issuing to clusters the cell's cache doesn't map. *)
-let check_cell_geometry t cl =
+(* A cell config may vary everything simulation-side, but it must be a
+   machine the cache models can build, and the plan bakes in the
+   cluster count and interleaving factor — a mismatch would have the
+   executor issuing to clusters the cell's cache doesn't map. *)
+let check_cell t cl =
   let c = cell_cfg t cl in
+  (match Config.validate c with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Context: invalid batch cell config: " ^ msg));
   if
     c.Config.n_clusters <> t.cfg.Config.n_clusters
     || c.Config.interleaving_factor <> t.cfg.Config.interleaving_factor
@@ -183,7 +181,7 @@ let check_cell_geometry t cl =
        or interleaving factor"
 
 let batch_machines_and_loops t bench spec ?trip_cap cells =
-  List.iter (check_cell_geometry t) cells;
+  List.iter (check_cell t) cells;
   let machines =
     Array.of_list
       (List.map
@@ -244,8 +242,8 @@ let run_batch t bench spec ?trip_cap cells =
        (fun j agg -> (agg, Sim.Machine.traffic_summary machines.(j)))
        aggs)
 
-let run t bench spec ~arch ?ab_entries ?hints () =
-  fst (List.hd (run_batch t bench spec [ cell ?ab_entries ?hints arch ]))
+let run t bench spec ~arch () =
+  fst (List.hd (run_batch t bench spec [ cell arch ]))
 
 let weighted_balance cs =
   let total_w =

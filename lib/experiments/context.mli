@@ -14,9 +14,14 @@
     depends on — so every spec of a benchmark, and every {!with_cfg}
     sibling that differs only outside the cache geometry (buses,
     occupancy, latencies, AB shape), shares one profile per (loop,
-    factor).  It has a fixed cap of 4096 entries and stays out of
-    {!memo_stats}.  One context can be shared by all worker domains of
-    the parallel experiment engine.
+    factor).  It stays out of {!memo_stats}.  One context can be shared
+    by all worker domains of the parallel experiment engine.
+
+    Every memo is bounded (FIFO eviction; see {!Vliw_parallel.Memo}) so
+    fleet-scale sweeps cannot grow memory without bound: 1024 compile
+    entries, 8192 traces, 1024 certifications and 4096 profiles, far
+    above any single figure's working set.  Eviction only costs a
+    recompute, never a result.
 
     Every simulation goes through {!run_batch}: the executor traverses
     the plan once and dispatches each resolved address to every cell,
@@ -27,18 +32,8 @@
 
 type t
 
-val create :
-  ?cfg:Vliw_arch.Config.t ->
-  ?seed:int ->
-  ?compile_cap:int ->
-  ?trace_cap:int ->
-  unit ->
-  t
-(** [compile_cap] / [trace_cap] bound the two memos (FIFO eviction; see
-    {!Vliw_parallel.Memo}) so fleet-scale sweeps cannot grow memory
-    without bound.  The defaults (1024 compile entries, 8192 traces)
-    are far above any single figure's working set; eviction only costs
-    a recompute, never a result. *)
+val create : ?cfg:Vliw_arch.Config.t -> ?seed:int -> unit -> t
+(** [cfg] defaults to {!Vliw_arch.Config.default}, [seed] to 7. *)
 
 val cfg : t -> Vliw_arch.Config.t
 
@@ -126,6 +121,10 @@ val run_batch :
     aggregated statistics and traffic counters, in cell order — each
     bit-identical to the same cell run as a one-cell batch.
 
+    @raise Invalid_argument if a cell's full configuration fails
+    {!Vliw_arch.Config.validate} or disagrees with the context's on
+    cluster count or interleaving factor.
+
     [trip_cap] (source iterations per loop; default unlimited) cuts
     every loop after [ceil (trip_cap / unroll_factor)] unrolled
     iterations — the design-space sweep's fidelity/wall-clock knob;
@@ -148,16 +147,13 @@ val run :
   Vliw_workloads.Benchspec.t ->
   spec ->
   arch:Vliw_sim.Machine.arch ->
-  ?ab_entries:int ->
-  ?hints:bool ->
   unit ->
   Vliw_sim.Stats.t
-(** Compile and execute the whole benchmark on one memory system,
-    aggregating loop statistics: the aggregate of the one-cell
-    {!run_batch} [[cell ?ab_entries ?hints arch]].  [ab_entries]
-    overrides the attraction-buffer capacity; [hints] enables the
-    compiler's "attractable" marking with K = buffer entries
-    (Section 5.2). *)
+(** Compile and execute the whole benchmark on one memory system under
+    the context's configuration, aggregating loop statistics: the
+    aggregate of the one-cell {!run_batch} [[cell arch]].  AB-capacity
+    overrides and attractable hints are {!cell} fields of
+    {!run_batch}. *)
 
 val weighted_balance : Vliw_core.Pipeline.compiled list -> float
 (** Loop-weight-weighted mean of the schedules' workload balance — the

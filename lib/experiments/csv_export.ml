@@ -33,7 +33,10 @@ let all_tables ctx =
   Fig4.tables ctx @ Fig5.tables ctx @ Fig6.tables ctx
   @ [ Fig7.table ctx ]
   @ Fig8.tables ctx
-  @ [ Ablation_interleave.table ~seed:7; Ablation_clusters.table ~seed:7 ]
+  @ [
+      Ablation_machine.table Interleaving ~seed:7;
+      Ablation_machine.table Clusters ~seed:7;
+    ]
 
 let write_table ~dir t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

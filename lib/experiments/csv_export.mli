@@ -1,8 +1,5 @@
 (** Write every figure's tables as CSV files (for external plotting). *)
 
-val all_tables : Context.t -> Vliw_report.Table.t list
-(** Every table of fig4..fig8 plus the two sweeps. *)
-
 val export : dir:string -> Context.t -> string list
 (** Write each table as [dir/<slug>.csv]; returns the paths written. *)
 

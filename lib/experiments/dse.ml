@@ -454,18 +454,13 @@ let sweep ?(grid = default_grid) ?benches ?(prune = true) ?(trip_cap = 512)
 
 (* ----------------------------------------------------------- reporting *)
 
-let frontier_table ?max_rows r =
+let frontier_table r =
   let rows =
     List.map
       (fun c ->
         ( cell_label c,
           [ float_of_int c.r_cycles; float_of_int c.r_traffic; c.r_cost ] ))
       r.frontier
-  in
-  let rows =
-    match max_rows with
-    | Some n when List.length rows > n -> List.filteri (fun i _ -> i < n) rows
-    | _ -> rows
   in
   Table.make
     ~title:
@@ -492,12 +487,8 @@ let pp_human ppf r =
   Table.render ppf (frontier_table r);
   Format.pp_print_newline ppf ()
 
-let pp_json ppf ?wall_s ?cells_per_s ~memo r =
+let pp_json ppf ~wall_s ~cells_per_s ~memo r =
   let open Json in
-  let opt name digits = function
-    | Some v -> [ (name, Fixed (digits, v)) ]
-    | None -> []
-  in
   let pruned pr =
     Obj
       [
@@ -529,17 +520,15 @@ let pp_json ppf ?wall_s ?cells_per_s ~memo r =
   Format.fprintf ppf "%s%!"
     (document
        (Obj
-          ([
-             ("schema", Int 1); ("grid_cells", Int r.grid_cells_total);
-             ("plan_groups", Int r.plan_groups);
-             ("compiled_groups", Int r.compiled_groups);
-             ("evaluated_cells", Int (List.length r.evaluated));
-             ("pruned_cells", Int r.pruned_cells);
-           ]
-          @ opt "wall_s" 3 wall_s
-          @ opt "cells_per_s" 1 cells_per_s
-          @ [
-              ("pruned", List (List.map pruned r.pruned));
-              ("memo", Obj (List.map memo_entry memo));
-              ("frontier", List (List.map frontier r.frontier));
-            ])))
+          [
+            ("schema", Int 1); ("grid_cells", Int r.grid_cells_total);
+            ("plan_groups", Int r.plan_groups);
+            ("compiled_groups", Int r.compiled_groups);
+            ("evaluated_cells", Int (List.length r.evaluated));
+            ("pruned_cells", Int r.pruned_cells);
+            ("wall_s", Fixed (3, wall_s));
+            ("cells_per_s", Fixed (1, cells_per_s));
+            ("pruned", List (List.map pruned r.pruned));
+            ("memo", Obj (List.map memo_entry memo));
+            ("frontier", List (List.map frontier r.frontier));
+          ]))

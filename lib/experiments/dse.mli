@@ -57,22 +57,6 @@ val enumerate : ?base:Vliw_arch.Config.t -> grid -> family list
     invalid dimension combinations are filtered, not errors (the qcheck
     property pins this down). *)
 
-val grid_cells : family list -> int
-(** Total cells over every family and bus level. *)
-
-val hardware_cost :
-  clusters:int ->
-  interleaving:int ->
-  buses:int ->
-  occupancy:int ->
-  cache_size:int ->
-  associativity:int ->
-  ab:int ->
-  float
-(** The stylized relative-area model (not from the paper): strictly
-    increasing in the bus count, which the pruning-soundness argument
-    relies on. *)
-
 type cell_result = {
   r_clusters : int;
   r_interleaving : int;
@@ -83,7 +67,10 @@ type cell_result = {
   r_ab : int;
   r_cycles : int;  (** total IPBC cycles summed over the benchmarks *)
   r_traffic : int;  (** remote words + attractions, summed *)
-  r_cost : float;  (** {!hardware_cost} *)
+  r_cost : float;
+      (** a stylized relative-area model (not from the paper), strictly
+          increasing in the bus count, which the pruning-soundness
+          argument relies on *)
 }
 
 val cell_label : cell_result -> string
@@ -121,17 +108,15 @@ val sweep :
     Deterministic: the result is a pure function of (grid, benches,
     prune, trip_cap, context config/seed) — never of [--jobs]. *)
 
-val frontier_table : ?max_rows:int -> result -> Vliw_report.Table.t
-
 val pp_human : Format.formatter -> result -> unit
 (** Prune log + frontier table + one summary line. *)
 
 val pp_json :
   Format.formatter ->
-  ?wall_s:float ->
-  ?cells_per_s:float ->
+  wall_s:float ->
+  cells_per_s:float ->
   memo:(string * Vliw_parallel.Memo.stats) list ->
   result ->
   unit
 (** Machine-readable document: totals, prune log, memo hit/miss/eviction
-    counters, the full frontier, and (when given) wall-clock figures. *)
+    counters, the full frontier, and the wall-clock figures. *)

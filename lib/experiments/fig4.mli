@@ -3,8 +3,6 @@
     alignment, (iii) OUF unrolling + alignment, and (iv) OUF + alignment
     without memory-dependent chains. *)
 
-val variants : (string * Context.spec) list
-
 val tables : Context.t -> Vliw_report.Table.t list
 (** One access-class table per variant plus a local-hit-ratio summary. *)
 

@@ -1,5 +1,4 @@
 (** Table 1 self-check: the generated suite's dominant access sizes and
     indirect shares, next to the paper's reported numbers. *)
 
-val table : Vliw_report.Table.t
 val run : Format.formatter -> unit

@@ -16,9 +16,6 @@ val n1 : int
 val n2 : int
 val n6 : int
 
-val rec1 : Vliw_ir.Ddg.t -> int list
-(** Node set of REC1 as found by SCC analysis. *)
-
 val benefit_table :
   Context.t -> (string * int * float * float * float) list
 (** STEP-1 rows: (node label, target latency, delta II, delta stall, B)

@@ -25,8 +25,6 @@ let dep t ?kind ?distance src dst =
 
 let flow t ?distance src dst = dep t ~kind:Edge.Reg_flow ?distance src dst
 
-let n_ops t = t.n
-
 let build t =
   let ops = Array.of_list (List.rev t.rev_ops) in
   Ddg.make ops (List.rev t.rev_edges)

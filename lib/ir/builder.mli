@@ -22,8 +22,6 @@ val dep : t -> ?kind:Edge.kind -> ?distance:int -> int -> int -> unit
 val flow : t -> ?distance:int -> int -> int -> unit
 (** [flow t src dst] adds a register-flow dependence ([Reg_flow]). *)
 
-val n_ops : t -> int
-
 val build : t -> Ddg.t
 (** Finalize.  The builder may be reused afterwards (further additions do
     not affect already-built graphs). *)

@@ -40,10 +40,3 @@ let ddg ppf g = emit ppf g ~color:(fun _ -> "white")
 let scheduled ppf g ~cluster =
   emit ppf g ~color:(fun v ->
       cluster_colors.(cluster v mod Array.length cluster_colors))
-
-let to_file path g =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  ddg ppf g;
-  Format.pp_print_flush ppf ();
-  close_out oc

@@ -10,5 +10,3 @@ val scheduled :
   cluster:(int -> int) ->
   unit
 (** Same graph with nodes coloured by their assigned cluster. *)
-
-val to_file : string -> Ddg.t -> unit

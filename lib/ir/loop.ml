@@ -10,7 +10,3 @@ let unrolled t ~factor =
     ddg = Unroll.ddg t.ddg ~factor;
     trip_count = max 1 (t.trip_count / factor);
   }
-
-let pp ppf t =
-  Format.fprintf ppf "loop %s (trip=%d, weight=%.3f):@,%a" t.name t.trip_count
-    t.weight Ddg.pp t.ddg

@@ -15,5 +15,3 @@ val make : ?weight:float -> name:string -> trip_count:int -> Ddg.t -> t
 val unrolled : t -> factor:int -> t
 (** Unroll the DDG and divide the trip count (the workload generators only
     use trip counts that are multiples of the maximum unroll factor). *)
-
-val pp : Format.formatter -> t -> unit

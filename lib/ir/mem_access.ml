@@ -15,8 +15,6 @@ let make ?(storage = Global) ?(offset = 0) ?(indirect = false) ?(footprint = 0)
   assert (granularity > 0);
   { symbol; storage; offset; stride; granularity; footprint; indirect }
 
-let equal (a : t) (b : t) = a = b
-
 let pp ppf t =
   Format.fprintf ppf "%s[%d%+d*i]:%dB%s" t.symbol t.offset t.stride
     t.granularity

@@ -35,5 +35,4 @@ val make :
   unit ->
   t
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -21,7 +21,6 @@ let is_memory t = Opcode.is_memory t.opcode
 let is_load t = Opcode.equal t.opcode Opcode.Load
 let is_store t = Opcode.equal t.opcode Opcode.Store
 let with_id t id = { t with id }
-let with_mem t mem = { t with mem = Some mem }
 
 let pp ppf t =
   let pp_regs = Fmt.(list ~sep:comma int) in

@@ -25,6 +25,5 @@ val is_load : t -> bool
 val is_store : t -> bool
 
 val with_id : t -> int -> t
-val with_mem : t -> Mem_access.t -> t
 
 val pp : Format.formatter -> t -> unit

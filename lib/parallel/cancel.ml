@@ -9,8 +9,6 @@ exception Cancelled of { stage : string; spent : int; budget : int }
 type t = { budget : int; mutable spent : int; mutable stage : string }
 
 let create ~budget = { budget = max 0 budget; spent = 0; stage = "start" }
-let budget t = t.budget
-let spent t = t.spent
 
 (* One token per domain: the service installs it in the worker domain
    that owns the request, and Pool.sequential_scope keeps every nested

@@ -33,12 +33,6 @@ val create : budget:int -> t
 (** A fresh token; [budget] is clamped to [>= 0].  The token trips when
     strictly more than [budget] units have been charged. *)
 
-val budget : t -> int
-
-val spent : t -> int
-(** Work units charged so far (deterministic for a deterministic
-    computation). *)
-
 val with_token : t -> (unit -> 'a) -> 'a
 (** Install [t] as the calling domain's active token for the duration
     of the callback (restoring any previously-installed token after,

@@ -147,20 +147,6 @@ let find_opt t key =
   Sync.unlock sh.lock;
   r
 
-let length t =
-  Array.fold_left
-    (fun acc sh ->
-      Sync.lock sh.lock;
-      Sync.read sh.c_cache;
-      let n =
-        Hashtbl.fold
-          (fun _ e acc -> match e with Ready _ -> acc + 1 | In_flight -> acc)
-          sh.cache 0
-      in
-      Sync.unlock sh.lock;
-      acc + n)
-    0 t.shards
-
 let stats t =
   Array.fold_left
     (fun acc sh ->

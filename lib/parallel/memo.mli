@@ -41,8 +41,5 @@ val get : 'a t -> string -> (unit -> 'a) -> 'a
 val find_opt : 'a t -> string -> 'a option
 (** Non-blocking lookup: [Some v] only if [key] is fully computed. *)
 
-val length : 'a t -> int
-(** Number of completed entries (in-flight claims excluded). *)
-
 val stats : 'a t -> stats
 (** Aggregate hit/miss/eviction counters and resident size. *)

@@ -262,11 +262,4 @@ let shared_pool () =
   Mutex.unlock default_lock;
   t
 
-let map_ordered ?jobs f xs =
-  match jobs with
-  | Some j when j <= 1 -> List.map f xs
-  | None -> map (shared_pool ()) f xs
-  | Some j when j = default_jobs () -> map (shared_pool ()) f xs
-  | Some j ->
-      let t = create ~jobs:j () in
-      Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map t f xs)
+let map_ordered f xs = map (shared_pool ()) f xs

@@ -59,7 +59,7 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     have raised first. *)
 
 val default_jobs : unit -> int
-(** The job count used by {!map_ordered} when [?jobs] is omitted.
+(** The job count of the shared pool {!map_ordered} runs on.
     Initially [Domain.recommended_domain_count ()]. *)
 
 val set_default_jobs : int -> unit
@@ -76,8 +76,8 @@ val sequential_scope : (unit -> 'a) -> 'a
     {!Cancel} token must observe all of its own work.  Restores the
     previous behaviour on exit, even on exception. *)
 
-val map_ordered : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_ordered ?jobs f xs] maps [f] over [xs] on the shared pool,
-    returning results in input order.  [?jobs] overrides the default
-    for this call only (a temporary pool is used when it differs from
-    the shared pool's size).  [jobs = 1] is exactly [List.map f xs]. *)
+val map_ordered : ('a -> 'b) -> 'a list -> 'b list
+(** [map_ordered f xs] is {!map} on the shared pool of
+    {!default_jobs} workers: results in input order, and with one job
+    exactly [List.map f xs].  Callers wanting another size create their
+    own pool with {!create}. *)

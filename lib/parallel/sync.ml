@@ -21,11 +21,6 @@ module Trace = struct
   type thread = { tid : int; events : entry list }
   type t = { threads : thread list; names : (int * string) list }
 
-  let name_of t id =
-    match List.assoc_opt id t.names with
-    | Some n -> n
-    | None -> Printf.sprintf "#%d" id
-
   let n_events t =
     List.fold_left (fun acc th -> acc + List.length th.events) 0 t.threads
 end
@@ -65,10 +60,6 @@ let mutex ?name () = { m = Mutex.create (); m_id = new_obj name }
 let condition ?name () = { c = Condition.create (); c_id = new_obj name }
 let cell ?name () = { cell_id = new_obj name }
 let atomic ?name v = { a = Atomic.make v; a_id = new_obj name }
-let id_of_mutex m = m.m_id
-let id_of_condition c = c.c_id
-let id_of_cell c = c.cell_id
-let id_of_atomic a = a.a_id
 
 (* ---------------------------------------------------------- recording *)
 
@@ -223,20 +214,6 @@ let get at =
         record (Trace.A_load at.a_id);
         Mutex.unlock atomic_order;
         r
-      end
-
-let set at x =
-  match vops () with
-  | Some v ->
-      v.v_astore at.a_id;
-      Atomic.set at.a x
-  | None ->
-      if Atomic.get active = 0 then Atomic.set at.a x
-      else begin
-        Mutex.lock atomic_order;
-        Atomic.set at.a x;
-        record (Trace.A_store at.a_id);
-        Mutex.unlock atomic_order
       end
 
 let add at n =

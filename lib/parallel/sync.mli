@@ -61,7 +61,6 @@ val read : cell -> unit
 val write : cell -> unit
 
 val get : atomic -> int
-val set : atomic -> int -> unit
 val add : atomic -> int -> unit
 (** [add a n] is an atomic fetch-and-add (result discarded). *)
 
@@ -110,9 +109,6 @@ module Trace : sig
   type thread = { tid : int; events : entry list (* program order *) }
   type t = { threads : thread list; names : (int * string) list }
 
-  val name_of : t -> int -> string
-  (** Human name of an object id ("pool.queue", ...), or ["#<id>"]. *)
-
   val n_events : t -> int
 end
 
@@ -157,10 +153,3 @@ val with_id_base : int -> (unit -> 'a) -> 'a
 val name_of_id : int -> string option
 (** The [?name] an object id was created with, if any — shared by
     traces and the virtual scheduler's failure messages. *)
-
-val id_of_mutex : mutex -> int
-val id_of_condition : condition -> int
-val id_of_cell : cell -> int
-val id_of_atomic : atomic -> int
-(** Object ids, for scenario invariants that want to talk about the
-    same ids the virtual scheduler sees. *)

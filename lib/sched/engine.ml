@@ -468,13 +468,12 @@ let sequential cfg ddg ~latency ~hooks ~allow_cross_cluster_mem =
   end
 
 let schedule cfg ddg ~latency ?(hooks = default_hooks)
-    ?(allow_cross_cluster_mem = false) ?min_ii ?max_ii () =
+    ?(allow_cross_cluster_mem = false) () =
   (* [prepare] already solved every recurrence's II, so the MII needs no
      second SCC and RecMII pass. *)
   let prepared = Ordering.prepare ddg ~latency in
   let mii = max (Resources.res_mii cfg ddg) (Ordering.rec_mii prepared) in
-  let lo = max 1 (Option.value ~default:mii min_ii) in
-  let hi = Option.value ~default:((4 * mii) + 64) max_ii in
+  let hi = (4 * mii) + 64 in
   let components = memory_components ddg in
   let try_ii ii =
     (* The greedy pass can wedge on the node that closes a recurrence (a
@@ -497,13 +496,10 @@ let schedule cfg ddg ~latency ?(hooks = default_hooks)
     retry [] 0
   in
   let rec loop ii =
-    if ii > hi then None
+    if ii > hi then
+      (* Search budget exhausted: fall back to the guaranteed sequential
+         schedule rather than fail. *)
+      sequential cfg ddg ~latency ~hooks ~allow_cross_cluster_mem
     else match try_ii ii with Some s -> Some s | None -> loop (ii + 1)
   in
-  match loop lo with
-  | Some s -> Some s
-  | None when max_ii = None ->
-      (* Default budget exhausted: fall back to the guaranteed
-         sequential schedule rather than fail. *)
-      sequential cfg ddg ~latency ~hooks ~allow_cross_cluster_mem
-  | None -> None
+  loop (max 1 mii)

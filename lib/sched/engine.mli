@@ -42,11 +42,9 @@ val schedule :
   latency:(int -> int) ->
   ?hooks:hooks ->
   ?allow_cross_cluster_mem:bool ->
-  ?min_ii:int ->
-  ?max_ii:int ->
   unit ->
   Schedule.t option
-(** [min_ii] defaults to MII = max(ResMII, RecMII).
+(** The search starts at MII = max(ResMII, RecMII).
     [allow_cross_cluster_mem] (default [false]) lifts the same-cluster
     requirement on memory-dependent operations — only the paper's
     no-chains ablation (and the globally-ordered unified/multiVLIW
@@ -54,12 +52,12 @@ val schedule :
 
     Completeness: if an II attempt wedges on the node that closes a
     recurrence, the same II is retried with the wedged node hoisted to
-    the front of the ordering (bounded).  When [max_ii] is not given and
-    the default search budget ([4 * MII + 64]) is exhausted — which the
-    structured benchmark loops never do — a guaranteed sequential
-    schedule (II = n x L, one operation per window) is returned instead,
-    so the function is total for every feasible loop.  With an explicit
-    [max_ii] the search is strictly bounded and [None] is possible.
+    the front of the ordering (bounded).  When the search budget (II up
+    to [4 * MII + 64]) is exhausted — which the structured benchmark
+    loops never do — a guaranteed sequential schedule (II = n x L, one
+    operation per window) is returned instead, so the result is [Some]
+    for every feasible loop; [None] means a zero-distance cycle the
+    sequential fallback cannot order.
 
     @raise Vliw_ir.Mii.Infeasible if the loop has a zero-distance
     positive-latency cycle (no II can ever schedule it). *)

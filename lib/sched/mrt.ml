@@ -44,8 +44,6 @@ let create (cfg : Config.t) ~ii =
     journal_len = 0;
   }
 
-let ii t = t.ii
-
 let slot t cycle =
   let m = cycle mod t.ii in
   if m < 0 then m + t.ii else m

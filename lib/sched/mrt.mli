@@ -10,7 +10,6 @@
 type t
 
 val create : Vliw_arch.Config.t -> ii:int -> t
-val ii : t -> int
 
 val fu_free : t -> cluster:int -> fu:Vliw_ir.Opcode.fu_class -> cycle:int -> bool
 (** FU of the class and an issue slot both available at [cycle mod II]. *)

@@ -186,17 +186,3 @@ let pp_kernel ddg ppf t =
         row;
       Format.fprintf ppf "@.")
     cell
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>II=%d SC=%d copies=%d WB=%.2f@," t.ii
-    (stage_count t) (n_copies t) (workload_balance t);
-  Array.iteri
-    (fun i s ->
-      Format.fprintf ppf "  n%d @@ cycle %d cluster %d@," i s t.cluster.(i))
-    t.start;
-  List.iter
-    (fun cp ->
-      Format.fprintf ppf "  copy n%d: %d -> %d @@ cycle %d@," cp.src_op
-        cp.from_cluster cp.to_cluster cp.start)
-    t.copies;
-  Format.fprintf ppf "@]"

@@ -54,8 +54,6 @@ val validate :
       [allow_cross_cluster_mem], used by the no-chains ablation);
     - functional-unit / issue-width / bus capacity never exceeded. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_kernel : Vliw_ir.Ddg.t -> Format.formatter -> t -> unit
 (** Render the modulo-scheduled kernel as a table: one row per cycle of
     the II, one column per cluster, listing the operations (by opcode

@@ -5,18 +5,11 @@
 
 type kind = Decode_corruption | Worker_exception | Budget_exhaustion | Queue_full
 
-let kind_to_string = function
-  | Decode_corruption -> "decode_corruption"
-  | Worker_exception -> "worker_exception"
-  | Budget_exhaustion -> "budget_exhaustion"
-  | Queue_full -> "queue_full"
-
 exception Injected of string
 
 type plan = { seed : int }
 
 let create ~seed = { seed }
-let seed p = p.seed
 
 let mix64 z =
   let open Int64 in

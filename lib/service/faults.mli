@@ -22,8 +22,6 @@
 
 type kind = Decode_corruption | Worker_exception | Budget_exhaustion | Queue_full
 
-val kind_to_string : kind -> string
-
 exception Injected of string
 (** The chaos worker crash.  Deliberately a distinct exception so tests
     can assert the service's catch-all does not special-case it. *)
@@ -31,7 +29,6 @@ exception Injected of string
 type plan
 
 val create : seed:int -> plan
-val seed : plan -> int
 
 val for_request : plan -> int -> kind option
 (** [for_request plan seq] — the fault (if any) injected into request

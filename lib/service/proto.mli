@@ -35,6 +35,8 @@ type request =
   | Simulate of {
       bench : string;
       arch : Vliw_sim.Machine.arch;
+          (** on the wire: "interleaved", "interleaved+ab", "multivliw",
+              "unified1" or "unified5" *)
       heuristic : [ `Ibc | `Ipbc ];
       ab_entries : int option;
       hints : bool;
@@ -76,7 +78,3 @@ val decode : string -> (envelope, decode_error) result
     belong to that request's schema with the right type, and unknown
     fields are rejected rather than ignored (a typo'd option silently
     doing nothing is a robustness bug, not a convenience). *)
-
-val arch_of_string : string -> Vliw_sim.Machine.arch option
-(** The CLI's architecture vocabulary: "interleaved", "interleaved+ab",
-    "multivliw", "unified1", "unified5". *)

@@ -333,6 +333,17 @@ let stats_json st traffic =
       ("traffic", Obj (List.map (fun (k, v) -> (k, Int v)) traffic));
     ]
 
+(* One simulate-only cell under [cfg], the cell's full configuration:
+   a geometry the cache models cannot build is the client's error
+   (bad_config), never a crash or a silently rounded cache. *)
+let simulate_cell ctx ~cfg b spec ~trip_cap cell =
+  match Config.validate cfg with
+  | Error msg -> Error ("bad_config", msg)
+  | Ok () -> (
+      match Context.run_batch ctx b spec ?trip_cap [ cell ] with
+      | [ (st, traffic) ] -> Ok (stats_json st traffic)
+      | _ -> Error ("internal", "batch returned unexpected arity"))
+
 (* The request payload: Ok carries the fields that follow
    "status":"ok", Error a structured (kind, detail) request error. *)
 let payload ctx (req : Proto.request) =
@@ -363,12 +374,17 @@ let payload ctx (req : Proto.request) =
   | Proto.Simulate { bench; arch; heuristic; ab_entries; hints; trip_cap } -> (
       match find_bench bench with
       | None -> Error ("unknown_benchmark", bench)
-      | Some b -> (
-          let spec = Context.interleaved heuristic in
-          let cell = Context.cell ?ab_entries ~hints arch in
-          match Context.run_batch ctx b spec ?trip_cap [ cell ] with
-          | [ (st, traffic) ] -> Ok (stats_json st traffic)
-          | _ -> Error ("internal", "batch returned unexpected arity")))
+      | Some b ->
+          let base = Context.cfg ctx in
+          let cfg =
+            {
+              base with
+              Config.ab_entries =
+                Option.value ~default:base.Config.ab_entries ab_entries;
+            }
+          in
+          simulate_cell ctx ~cfg b (Context.interleaved heuristic) ~trip_cap
+            (Context.cell ?ab_entries ~hints arch))
   | Proto.Analyze { bench } -> (
       match bench_filter bench with
       | Error e -> Error e
@@ -421,7 +437,7 @@ let payload ctx (req : Proto.request) =
       { bench; buses; ab_entries; cache_size; associativity; trip_cap } -> (
       match find_bench bench with
       | None -> Error ("unknown_benchmark", bench)
-      | Some b -> (
+      | Some b ->
           let base = Context.cfg ctx in
           let cfg =
             {
@@ -437,20 +453,12 @@ let payload ctx (req : Proto.request) =
                 Option.value ~default:base.Config.ab_entries ab_entries;
             }
           in
-          match Config.validate cfg with
-          | Error msg -> Error ("bad_config", msg)
-          | Ok () -> (
-              let ctx' = Context.with_cfg ctx cfg in
-              let arch =
-                Machine.Word_interleaved
-                  { attraction_buffers = ab_entries <> None }
-              in
-              let spec = Context.interleaved `Ipbc in
-              match
-                Context.run_batch ctx' b spec ~trip_cap [ Context.cell arch ]
-              with
-              | [ (st, traffic) ] -> Ok (stats_json st traffic)
-              | _ -> Error ("internal", "batch returned unexpected arity"))))
+          let arch =
+            Machine.Word_interleaved { attraction_buffers = ab_entries <> None }
+          in
+          simulate_cell (Context.with_cfg ctx cfg) ~cfg b
+            (Context.interleaved `Ipbc) ~trip_cap:(Some trip_cap)
+            (Context.cell arch))
 
 let sanitize_exn e =
   let s = Printexc.to_string e in
@@ -526,9 +534,11 @@ let handle_request ctx tally ~wall_times ~default_deadline ~seq
 
 (* --------------------------------------------------------- the server *)
 
+(* Bytes one request line may carry. *)
+let max_line = 65536
+
 let run ?(jobs = 1) ?(queue_cap = 128) ?chaos ?(wall_times = false)
-    ?(max_line = 65536) ?(default_deadline = max_int / 4) ?drain_flag ?ctx
-    ~input ~output () =
+    ?(default_deadline = max_int / 4) ?drain_flag ?ctx ~input ~output () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let ctx = match ctx with Some c -> c | None -> Context.create () in

@@ -35,9 +35,6 @@
     non-shed requests.  Wall-clock timing is opt-in ([wall_times]) for
     the same reason. *)
 
-val schema_version : int
-(** Version stamp on every response line. *)
-
 type counters = {
   accepted : int;  (** request lines read (including malformed ones) *)
   ok : int;  (** ["ok"] responses, health included *)
@@ -81,7 +78,6 @@ module Wq : sig
   val push : t -> (unit -> unit) -> bool
   val worker : t -> unit
   val stop : t -> unit
-  val watermark : t -> int
 end
 
 val run :
@@ -89,7 +85,6 @@ val run :
   ?queue_cap:int ->
   ?chaos:int ->
   ?wall_times:bool ->
-  ?max_line:int ->
   ?default_deadline:int ->
   ?drain_flag:bool Atomic.t ->
   ?ctx:Vliw_experiments.Context.t ->
@@ -110,7 +105,8 @@ val run :
     [chaos] seeds a deterministic {!Faults} plan.  [wall_times] adds a
     per-response ["ms"] field and the queue high-watermark to the
     drained line (off by default: wall-clock breaks replay
-    byte-identity).  [max_line] (default 65536) bounds a request line.
+    byte-identity).  A request line longer than 65536 bytes is answered
+    with one ["oversized"] error.
     [default_deadline] is the work-unit budget for requests that carry
     no ["deadline"] field (default: effectively unbounded).
     [drain_flag] is polled between reads — the SIGINT hook.  [ctx]

@@ -9,10 +9,12 @@ module Pipeline = Vliw_core.Pipeline
 module Profile = Vliw_core.Profile
 module Schedule = Vliw_sched.Schedule
 
-let default_unclear_threshold = 0.9
+(* Preferred-cluster distribution below which an operation counts as
+   having "unclear preferred cluster information". *)
+let unclear_threshold = 0.9
 
 (* Static per-operation inputs to the Figure-5 factor classification. *)
-let stall_factors cfg (c : Pipeline.compiled) ~unclear_threshold op =
+let stall_factors cfg (c : Pipeline.compiled) op =
   let ddg = c.Pipeline.loop.Loop.ddg in
   let ni = Config.max_unroll cfg in
   match (Ddg.op ddg op).Operation.mem with
@@ -63,7 +65,7 @@ type plan = {
   factor_masks : int array;  (* Stats.factor_mask of the op's factors *)
 }
 
-let build_plan cfg (c : Pipeline.compiled) ~unclear_threshold =
+let build_plan cfg (c : Pipeline.compiled) =
   let ddg = c.Pipeline.loop.Loop.ddg in
   let sched = c.Pipeline.schedule in
   let i_factor = cfg.Config.interleaving_factor in
@@ -98,7 +100,7 @@ let build_plan cfg (c : Pipeline.compiled) ~unclear_threshold =
       p.parts.(k) <- max 1 ((granularity + i_factor - 1) / i_factor);
       p.promised.(k) <- c.Pipeline.latencies.(op);
       p.factor_masks.(k) <-
-        Stats.factor_mask (stall_factors cfg c ~unclear_threshold op))
+        Stats.factor_mask (stall_factors cfg c op))
     ops;
   p
 
@@ -166,7 +168,7 @@ let resolve_trace (p : plan) ~trip ~full_trip ~addr_of ~addr_trace =
 
    The backend dispatch is hoisted out of the loop — each cell gets a
    monomorphic access closure calling its cache's allocation-free
-   [access_into] — and access results come back through two mutable
+   [access] — and access results come back through two mutable
    scratch slots.  The steady-state (hit-path) loop performs zero heap
    allocation; miss paths may grow the cache's pending table, which is
    amortized and bounded by the blocks in flight.
@@ -185,8 +187,7 @@ type batch_cell = {
 }
 
 let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
-    ?addr_of ?addr_trace ?trip
-    ?(unclear_threshold = default_unclear_threshold) () =
+    ?addr_of ?addr_trace ?trip () =
   let full_trip = c.Pipeline.loop.Loop.trip_count in
   (* The sweep's fidelity/wall-clock knob: simulate only the first
      [trip] unrolled iterations.  Every cell of the batch is cut at the
@@ -200,7 +201,7 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
   in
   let sched = c.Pipeline.schedule in
   let ii = sched.Schedule.ii in
-  let p = build_plan cfg c ~unclear_threshold in
+  let p = build_plan cfg c in
   let n = Array.length p.ops in
   let m = Array.length cells in
   let i_factor = cfg.Config.interleaving_factor in
@@ -227,13 +228,13 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
     | Machine.Interleaved_state ic ->
         let att = attracts.(j) in
         fun k ~now ~addr ->
-          Arch.Interleaved_cache.access_into ic out ~attract:att.(k) ~now
+          Arch.Interleaved_cache.access ic out ~attract:att.(k) ~now
             ~cluster:p.clusters.(k) ~addr ~store:p.stores.(k)
     | Machine.Unified_state uc ->
-        fun _ ~now ~addr -> Arch.Unified_cache.access_into uc out ~now ~addr
+        fun _ ~now ~addr -> Arch.Unified_cache.access uc out ~now ~addr
     | Machine.Coherent_state cc ->
         fun k ~now ~addr ->
-          Arch.Coherent_cache.access_into cc out ~now ~cluster:p.clusters.(k)
+          Arch.Coherent_cache.access cc out ~now ~cluster:p.clusters.(k)
             ~addr ~store:p.stores.(k)
   in
   let accesses = Array.init m access_of in
@@ -281,10 +282,9 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
   Array.iter (fun cell -> Machine.end_of_loop cell.machine) cells;
   stats
 
-let run_loop cfg machine c ?addr_of ?addr_trace ?attractable ?unclear_threshold
-    () =
-  (run_loop_batched cfg [| { machine; attractable } |] c ?addr_of ?addr_trace
-     ?unclear_threshold ()).(0)
+let run_loop cfg machine c ?addr_of ?addr_trace () =
+  (run_loop_batched cfg [| { machine; attractable = None } |] c ?addr_of
+     ?addr_trace ()).(0)
 
 (* ------------------------------------------------------------------ *)
 (* The straightforward list-based executor the kernel above replaced,
@@ -295,7 +295,7 @@ let run_loop cfg machine c ?addr_of ?addr_trace ?attractable ?unclear_threshold
    (perfbench/compiles.ml) calls it too. *)
 
 let run_loop_reference cfg machine (c : Pipeline.compiled) ~addr_of
-    ?attractable ?(unclear_threshold = default_unclear_threshold) () =
+    ?attractable () =
   let ddg = c.Pipeline.loop.Loop.ddg in
   let sched = c.Pipeline.schedule in
   let trip = c.Pipeline.loop.Loop.trip_count in
@@ -307,12 +307,14 @@ let run_loop_reference cfg machine (c : Pipeline.compiled) ~addr_of
       match Hashtbl.find_opt cache op with
       | Some f -> f
       | None ->
-          let f = stall_factors cfg c ~unclear_threshold op in
+          let f = stall_factors cfg c op in
           Hashtbl.add cache op f;
           f
   in
   let stats = Stats.create () in
   let stall = ref 0 in
+  let r = Access.scratch () in
+  let rp = Access.scratch () in
   for iter = 0 to trip - 1 do
     List.iter
       (fun op ->
@@ -330,26 +332,28 @@ let run_loop_reference cfg machine (c : Pipeline.compiled) ~addr_of
         in
         let parts = max 1 ((granularity + i_factor - 1) / i_factor) in
         let base_addr = addr_of ~op ~iter in
-        let part p =
-          Machine.access machine ~attract ~now:issue
+        let part out p =
+          Machine.access machine out ~attract ~now:issue
             ~cluster:sched.Schedule.cluster.(op)
             ~addr:(base_addr + (p * i_factor))
-            ~store ()
+            ~store
         in
-        let r = ref (part 0) in
+        part r 0;
         for p = 1 to parts - 1 do
-          let rp = part p in
-          if rp.Access.ready_at >= !r.Access.ready_at then r := rp
+          part rp p;
+          if rp.Access.s_ready_at >= r.Access.s_ready_at then begin
+            r.Access.s_kind <- rp.Access.s_kind;
+            r.Access.s_ready_at <- rp.Access.s_ready_at
+          end
         done;
-        let r = !r in
-        Stats.count_access stats r.Access.kind;
+        Stats.count_access stats r.Access.s_kind;
         if not store then begin
           let promised = issue + c.Pipeline.latencies.(op) in
-          let s = r.Access.ready_at - promised in
+          let s = r.Access.s_ready_at - promised in
           if s > 0 then begin
             stall := !stall + s;
-            Stats.count_stall stats r.Access.kind ~cycles:s;
-            if r.Access.kind = Access.Remote_hit then
+            Stats.count_stall stats r.Access.s_kind ~cycles:s;
+            if r.Access.s_kind = Access.Remote_hit then
               List.iter (Stats.count_stall_factor stats) (factors_of op)
           end
         end)

@@ -12,11 +12,9 @@
 
     Compute time is [(trip_count + SC - 1) * II]; every stall cycle is
     attributed to the access class that caused it, and stalling remote
-    hits are further classified by the paper's four factors. *)
-
-val default_unclear_threshold : float
-(** Preferred-cluster distribution below which an operation counts as
-    having "unclear preferred cluster information" (0.9). *)
+    hits are further classified by the paper's four factors (an
+    operation's preferred cluster counts as unclear below a 0.9
+    distribution). *)
 
 val address_trace :
   Vliw_core.Pipeline.compiled ->
@@ -36,8 +34,6 @@ val run_loop :
   Vliw_core.Pipeline.compiled ->
   ?addr_of:(op:int -> iter:int -> int) ->
   ?addr_trace:int array ->
-  ?attractable:bool array ->
-  ?unclear_threshold:float ->
   unit ->
   Stats.t
 (** Execute every iteration of the compiled (already unrolled) loop,
@@ -49,13 +45,14 @@ val run_loop :
     when both are given the trace wins.
 
     A solo run is the one-cell batch: {!run_loop_batched} over
-    [[| { machine; attractable } |]], so every simulated access goes
-    through the one kernel {!run_loop_reference} checks, and a solo run
-    under a deadline ticks {!Vliw_parallel.Cancel} like any batch. *)
+    [[| { machine; attractable = None } |]], so every simulated access
+    goes through the one kernel {!run_loop_reference} checks, and a solo
+    run under a deadline ticks {!Vliw_parallel.Cancel} like any batch. *)
 
 (** One configuration of a batched sweep: its own machine (cache tags,
     AB contents, pending-request tables) and, optionally, its own
-    compiler attract hints (per-DDG-op flags, as for {!run_loop}). *)
+    compiler attract hints (per-DDG-op flags; [None] lets every load
+    attract). *)
 type batch_cell = {
   machine : Machine.t;
   attractable : bool array option;
@@ -68,7 +65,6 @@ val run_loop_batched :
   ?addr_of:(op:int -> iter:int -> int) ->
   ?addr_trace:int array ->
   ?trip:int ->
-  ?unclear_threshold:float ->
   unit ->
   Stats.t array
 (** Simulate N cache configurations in lockstep over a single traversal
@@ -110,7 +106,6 @@ val run_loop_reference :
   Vliw_core.Pipeline.compiled ->
   addr_of:(op:int -> iter:int -> int) ->
   ?attractable:bool array ->
-  ?unclear_threshold:float ->
   unit ->
   Stats.t
 (** The straightforward list-based executor the kernel replaced, kept

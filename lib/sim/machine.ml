@@ -17,23 +17,16 @@ type state =
   | Unified_state of Arch.Unified_cache.t
   | Coherent_state of Arch.Coherent_cache.t
 
-type t = { arch : arch; state : state }
+type t = state
 
 let create cfg = function
-  | Word_interleaved { attraction_buffers } as arch ->
-      {
-        arch;
-        state =
-          Interleaved_state
-            (Arch.Interleaved_cache.create ~with_ab:attraction_buffers cfg);
-      }
-  | Unified { slow } as arch ->
-      { arch; state = Unified_state (Arch.Unified_cache.create ~slow cfg) }
-  | Multivliw as arch ->
-      { arch; state = Coherent_state (Arch.Coherent_cache.create cfg) }
+  | Word_interleaved { attraction_buffers } ->
+      Interleaved_state
+        (Arch.Interleaved_cache.create ~with_ab:attraction_buffers cfg)
+  | Unified { slow } -> Unified_state (Arch.Unified_cache.create ~slow cfg)
+  | Multivliw -> Coherent_state (Arch.Coherent_cache.create cfg)
 
-let arch t = t.arch
-let state t = t.state
+let state t = t
 
 (* One machine per swept configuration: the struct-of-arrays state of a
    batched executor run.  Each entry may override the attraction-buffer
@@ -51,21 +44,22 @@ let create_batch cfg specs =
          create cfg arch)
        specs)
 
-let access t ?(attract = true) ~now ~cluster ~addr ~store () =
-  match t.state with
+let access t out ~attract ~now ~cluster ~addr ~store =
+  match t with
   | Interleaved_state c ->
-      Arch.Interleaved_cache.access c ~attract ~now ~cluster ~addr ~store ()
-  | Unified_state c -> Arch.Unified_cache.access c ~now ~addr
-  | Coherent_state c -> Arch.Coherent_cache.access c ~now ~cluster ~addr ~store
+      Arch.Interleaved_cache.access c out ~attract ~now ~cluster ~addr ~store
+  | Unified_state c -> Arch.Unified_cache.access c out ~now ~addr
+  | Coherent_state c ->
+      Arch.Coherent_cache.access c out ~now ~cluster ~addr ~store
 
 let end_of_loop t =
-  match t.state with
+  match t with
   | Interleaved_state c -> Arch.Interleaved_cache.end_of_loop c
   | Unified_state c -> Arch.Unified_cache.end_of_loop c
   | Coherent_state c -> Arch.Coherent_cache.end_of_loop c
 
 let traffic_summary t =
-  match t.state with
+  match t with
   | Interleaved_state c ->
       let tr = Arch.Interleaved_cache.traffic c in
       [

@@ -19,7 +19,6 @@ type state =
 type t
 
 val create : Vliw_arch.Config.t -> arch -> t
-val arch : t -> arch
 val state : t -> state
 
 val create_batch :
@@ -31,14 +30,17 @@ val create_batch :
 
 val access :
   t ->
-  ?attract:bool ->
+  Vliw_arch.Access.scratch ->
+  attract:bool ->
   now:int ->
   cluster:int ->
   addr:int ->
   store:bool ->
-  unit ->
-  Vliw_arch.Access.t
-(** One word access.  [cluster] is ignored by the unified cache. *)
+  unit
+(** One word access, dispatched on the backend per call, its result
+    written into the caller's scratch slot.  [cluster] is ignored by the
+    unified cache, [attract] by every backend but the interleaved
+    one. *)
 
 val end_of_loop : t -> unit
 (** Attraction-buffer flush / pending-request reset between loops. *)

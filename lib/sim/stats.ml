@@ -43,14 +43,6 @@ let create () =
     compute = 0.0;
   }
 
-let copy t =
-  {
-    accesses = Array.copy t.accesses;
-    stall = Array.copy t.stall;
-    factors = Array.copy t.factors;
-    compute = t.compute;
-  }
-
 let count_access t k = t.accesses.(kind_index k) <- t.accesses.(kind_index k) +. 1.0
 
 let count_stall t k ~cycles =

@@ -17,7 +17,6 @@ val factor_to_string : factor -> string
 type t
 
 val create : unit -> t
-val copy : t -> t
 
 val count_access : t -> Vliw_arch.Access.kind -> unit
 val count_stall : t -> Vliw_arch.Access.kind -> cycles:int -> unit

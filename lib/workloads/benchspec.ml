@@ -33,8 +33,3 @@ let indirect_share t =
   let by_ind = dynamic_counts t (fun r -> r.Kernel.indirect) in
   let ind = Option.value ~default:0 (List.assoc_opt true by_ind) in
   float_of_int ind /. float_of_int (max 1 (total_dynamic t))
-
-let n_memory_refs t =
-  List.fold_left
-    (fun acc (k : Kernel.spec) -> acc + List.length k.Kernel.refs)
-    0 t.kernels

@@ -18,5 +18,3 @@ val dominant_size : t -> int * float
 
 val indirect_share : t -> float
 (** Fraction of dynamic memory accesses that are indirect. *)
-
-val n_memory_refs : t -> int

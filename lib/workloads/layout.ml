@@ -16,9 +16,6 @@ type t = {
 let create cfg ~aligned ~run ~seed =
   { cfg; aligned; run; seed; bases = Hashtbl.create 32 }
 
-let run_of t = t.run
-let aligned t = t.aligned
-
 let run_salt = function Profile_run -> 0x5052 | Execution_run -> 0x4558
 
 let string_hash s = Prng.hash2 (Hashtbl.hash s) 0x1234567

@@ -18,9 +18,6 @@ type t
 
 val create : Vliw_arch.Config.t -> aligned:bool -> run:run -> seed:int -> t
 
-val run_of : t -> run
-val aligned : t -> bool
-
 val base_of : t -> Vliw_ir.Mem_access.t -> int
 (** Base address of the access's symbol in this layout (cached: the two
     mentions of a symbol agree). *)

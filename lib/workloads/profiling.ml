@@ -5,6 +5,8 @@ module Loop = Vliw_ir.Loop
 module Operation = Vliw_ir.Operation
 module Profile = Vliw_core.Profile
 
+(* Profiling replays at most this many iterations per loop; hit rates
+   and cluster distributions converge far earlier. *)
 let iteration_cap = 4096
 
 (* Like the executor, the profiler walks trip_count x mem-ops accesses,

@@ -4,10 +4,6 @@
     information the paper's compiler gets from profiling with the
     *profile data set* (Table 1). *)
 
-val iteration_cap : int
-(** Profiling replays at most this many iterations per loop (4096); hit
-    rates and cluster distributions converge far earlier. *)
-
 val profile_loop :
   Vliw_arch.Config.t -> Layout.t -> Vliw_ir.Loop.t -> Vliw_core.Profile.t
 

@@ -28,7 +28,19 @@ let test_config_validation () =
     (Result.is_error (Config.validate bad));
   let bad = { cfg with Config.lat_remote_hit = 0 } in
   check cb "unordered latencies rejected" true
-    (Result.is_error (Config.validate bad))
+    (Result.is_error (Config.validate bad));
+  List.iter
+    (fun (what, bad) ->
+      check cb (what ^ " rejected") true (Result.is_error (Config.validate bad)))
+    [
+      ("associativity 3", { cfg with Config.associativity = 3 });
+      ("more ways than a module's blocks",
+       { cfg with Config.associativity = 1024 });
+      ("4KB with 256 ways",
+       { cfg with Config.cache_size = 4096; associativity = 256 });
+      ("partial AB set", { cfg with Config.ab_entries = 3 });
+      ("AB without a set", { cfg with Config.ab_entries = 0 });
+    ]
 
 let test_addr_mapping () =
   check ci "addr 0 -> cluster 0" 0 (Config.cluster_of_addr cfg 0);
@@ -125,87 +137,94 @@ let test_ab_capacity () =
 (* --------------------------------------------------- interleaved cache *)
 
 let access c ?(attract = true) ?(store = false) ~now ~cluster addr =
-  Interleaved_cache.access c ~attract ~now ~cluster ~addr ~store ()
+  let r = Access.scratch () in
+  Interleaved_cache.access c r ~attract ~now ~cluster ~addr ~store;
+  r
 
 let test_interleaved_classification () =
   let c = Interleaved_cache.create cfg in
   (* Address 0 is homed at cluster 0.  First access: local miss. *)
   let r = access c ~now:0 ~cluster:0 0 in
-  check kind "cold local miss" Access.Local_miss r.Access.kind;
-  check ci "miss latency" cfg.Config.lat_local_miss r.Access.ready_at;
+  check kind "cold local miss" Access.Local_miss r.Access.s_kind;
+  check ci "miss latency" cfg.Config.lat_local_miss r.Access.s_ready_at;
   (* Long after the fill: local hit. *)
   let r = access c ~now:100 ~cluster:0 0 in
-  check kind "local hit" Access.Local_hit r.Access.kind;
+  check kind "local hit" Access.Local_hit r.Access.s_kind;
   (* Same word from cluster 1: remote hit. *)
   let r = access c ~now:200 ~cluster:1 0 in
-  check kind "remote hit" Access.Remote_hit r.Access.kind;
+  check kind "remote hit" Access.Remote_hit r.Access.s_kind;
   check ci "remote hit latency" (200 + cfg.Config.lat_remote_hit)
-    r.Access.ready_at;
+    r.Access.s_ready_at;
   (* Cold block from the wrong cluster: remote miss. *)
   let r = access c ~now:300 ~cluster:1 4096 in
-  check kind "remote miss" Access.Remote_miss r.Access.kind
+  check kind "remote miss" Access.Remote_miss r.Access.s_kind
 
 let test_interleaved_combined () =
   let c = Interleaved_cache.create cfg in
   ignore (access c ~now:0 ~cluster:0 0);
   (* Another access to the same block while the fill is pending. *)
   let r = access c ~now:1 ~cluster:0 4 in
-  check kind "combined while pending" Access.Combined r.Access.kind;
+  check kind "combined while pending" Access.Combined r.Access.s_kind;
   check ci "combined completes with the fill" cfg.Config.lat_local_miss
-    r.Access.ready_at
+    r.Access.s_ready_at
 
 let test_interleaved_ab_attract () =
   let c = Interleaved_cache.create ~with_ab:true cfg in
   ignore (access c ~now:0 ~cluster:0 0);
   (* Remote hit from cluster 1 attracts the subblock... *)
   let r = access c ~now:100 ~cluster:1 0 in
-  check kind "remote hit" Access.Remote_hit r.Access.kind;
+  check kind "remote hit" Access.Remote_hit r.Access.s_kind;
   (* ...so the next access from cluster 1 is a local hit. *)
   let r = access c ~now:200 ~cluster:1 0 in
-  check kind "AB turns it local" Access.Local_hit r.Access.kind;
+  check kind "AB turns it local" Access.Local_hit r.Access.s_kind;
   check ci "AB occupancy" 1 (Interleaved_cache.ab_occupancy c 1);
   (* Flush between loops drops it. *)
   Interleaved_cache.end_of_loop c;
   let r = access c ~now:300 ~cluster:1 0 in
-  check kind "flushed: remote again" Access.Remote_hit r.Access.kind
+  check kind "flushed: remote again" Access.Remote_hit r.Access.s_kind
 
 let test_interleaved_ab_suppressed () =
   let c = Interleaved_cache.create ~with_ab:true cfg in
   ignore (access c ~now:0 ~cluster:0 0);
   ignore (access c ~attract:false ~now:100 ~cluster:1 0);
   let r = access c ~attract:false ~now:200 ~cluster:1 0 in
-  check kind "no attraction without the hint" Access.Remote_hit r.Access.kind
+  check kind "no attraction without the hint" Access.Remote_hit r.Access.s_kind
 
 let test_interleaved_store_no_attract () =
   let c = Interleaved_cache.create ~with_ab:true cfg in
   ignore (access c ~now:0 ~cluster:0 0);
   ignore (access c ~store:true ~now:100 ~cluster:1 0);
   let r = access c ~now:200 ~cluster:1 0 in
-  check kind "stores do not attract" Access.Remote_hit r.Access.kind
+  check kind "stores do not attract" Access.Remote_hit r.Access.s_kind
 
 let test_interleaved_whole_block_pending () =
   let c = Interleaved_cache.create cfg in
   ignore (access c ~now:0 ~cluster:0 0);
   (* A different subblock of the same block is also in flight. *)
   let r = access c ~now:1 ~cluster:1 4 in
-  check kind "other subblock combined" Access.Combined r.Access.kind
+  check kind "other subblock combined" Access.Combined r.Access.s_kind
 
 (* ------------------------------------------------------ unified cache *)
 
+let unified c ~now ~addr =
+  let r = Access.scratch () in
+  Unified_cache.access c r ~now ~addr;
+  r
+
 let test_unified () =
   let c = Unified_cache.create ~slow:false cfg in
-  let r = Unified_cache.access c ~now:0 ~addr:0 in
-  check kind "cold miss" Access.Local_miss r.Access.kind;
+  let r = unified c ~now:0 ~addr:0 in
+  check kind "cold miss" Access.Local_miss r.Access.s_kind;
   check ci "miss = hit + next level" (1 + cfg.Config.lat_next_level)
-    r.Access.ready_at;
-  let r = Unified_cache.access c ~now:50 ~addr:0 in
-  check kind "warm hit" Access.Local_hit r.Access.kind;
+    r.Access.s_ready_at;
+  let r = unified c ~now:50 ~addr:0 in
+  check kind "warm hit" Access.Local_hit r.Access.s_kind;
   let slow = Unified_cache.create ~slow:true cfg in
   check ci "slow hit latency" 5 (Unified_cache.hit_latency slow);
-  let r = Unified_cache.access c ~now:51 ~addr:4096 in
-  check kind "second cold miss" Access.Local_miss r.Access.kind;
-  let r = Unified_cache.access c ~now:52 ~addr:4100 in
-  check kind "combined with pending fill" Access.Combined r.Access.kind
+  let r = unified c ~now:51 ~addr:4096 in
+  check kind "second cold miss" Access.Local_miss r.Access.s_kind;
+  let r = unified c ~now:52 ~addr:4100 in
+  check kind "combined with pending fill" Access.Combined r.Access.s_kind
 
 (* ----------------------------------------------------- coherent cache *)
 
@@ -214,42 +233,47 @@ let state = Alcotest.of_pp (fun ppf s ->
       (match s with
       | `Modified -> "M" | `Shared -> "S" | `Invalid -> "I"))
 
+let coherent c ~now ~cluster ~addr ~store =
+  let r = Access.scratch () in
+  Coherent_cache.access c r ~now ~cluster ~addr ~store;
+  r
+
 let test_coherent_load_sharing () =
   let c = Coherent_cache.create cfg in
-  let r = Coherent_cache.access c ~now:0 ~cluster:0 ~addr:0 ~store:false in
-  check kind "cold fill from memory" Access.Local_miss r.Access.kind;
+  let r = coherent c ~now:0 ~cluster:0 ~addr:0 ~store:false in
+  check kind "cold fill from memory" Access.Local_miss r.Access.s_kind;
   check state "filled shared" `Shared (Coherent_cache.state c ~cluster:0 ~block:0);
   (* Cluster 1 loads the same block: cache-to-cache. *)
-  let r = Coherent_cache.access c ~now:100 ~cluster:1 ~addr:0 ~store:false in
-  check kind "cache-to-cache transfer" Access.Remote_hit r.Access.kind;
+  let r = coherent c ~now:100 ~cluster:1 ~addr:0 ~store:false in
+  check kind "cache-to-cache transfer" Access.Remote_hit r.Access.s_kind;
   check state "requester shared" `Shared (Coherent_cache.state c ~cluster:1 ~block:0);
   (* Now both hit locally. *)
-  let r = Coherent_cache.access c ~now:200 ~cluster:0 ~addr:0 ~store:false in
-  check kind "local hit for 0" Access.Local_hit r.Access.kind;
-  let r = Coherent_cache.access c ~now:201 ~cluster:1 ~addr:0 ~store:false in
-  check kind "local hit for 1" Access.Local_hit r.Access.kind
+  let r = coherent c ~now:200 ~cluster:0 ~addr:0 ~store:false in
+  check kind "local hit for 0" Access.Local_hit r.Access.s_kind;
+  let r = coherent c ~now:201 ~cluster:1 ~addr:0 ~store:false in
+  check kind "local hit for 1" Access.Local_hit r.Access.s_kind
 
 let test_coherent_store_invalidates () =
   let c = Coherent_cache.create cfg in
-  ignore (Coherent_cache.access c ~now:0 ~cluster:0 ~addr:0 ~store:false);
-  ignore (Coherent_cache.access c ~now:100 ~cluster:1 ~addr:0 ~store:false);
+  ignore (coherent c ~now:0 ~cluster:0 ~addr:0 ~store:false);
+  ignore (coherent c ~now:100 ~cluster:1 ~addr:0 ~store:false);
   (* Store from cluster 0 upgrades and invalidates cluster 1. *)
-  let r = Coherent_cache.access c ~now:200 ~cluster:0 ~addr:0 ~store:true in
-  check kind "upgrade in place" Access.Local_hit r.Access.kind;
+  let r = coherent c ~now:200 ~cluster:0 ~addr:0 ~store:true in
+  check kind "upgrade in place" Access.Local_hit r.Access.s_kind;
   check state "writer modified" `Modified
     (Coherent_cache.state c ~cluster:0 ~block:0);
   check state "sharer invalidated" `Invalid
     (Coherent_cache.state c ~cluster:1 ~block:0);
   (* Cluster 1's next load is served cache-to-cache from the owner. *)
-  let r = Coherent_cache.access c ~now:300 ~cluster:1 ~addr:0 ~store:false in
-  check kind "dirty transfer" Access.Remote_hit r.Access.kind;
+  let r = coherent c ~now:300 ~cluster:1 ~addr:0 ~store:false in
+  check kind "dirty transfer" Access.Remote_hit r.Access.s_kind;
   check state "owner demoted to shared" `Shared
     (Coherent_cache.state c ~cluster:0 ~block:0)
 
 let test_coherent_store_miss () =
   let c = Coherent_cache.create cfg in
-  let r = Coherent_cache.access c ~now:0 ~cluster:2 ~addr:64 ~store:true in
-  check kind "write-allocate from memory" Access.Local_miss r.Access.kind;
+  let r = coherent c ~now:0 ~cluster:2 ~addr:64 ~store:true in
+  check kind "write-allocate from memory" Access.Local_miss r.Access.s_kind;
   check state "modified" `Modified (Coherent_cache.state c ~cluster:2 ~block:2)
 
 let test_coherent_capacity () =
@@ -257,7 +281,7 @@ let test_coherent_capacity () =
   (* One cluster's cache holds 64 blocks; stream 128 through it. *)
   for b = 0 to 127 do
     ignore
-      (Coherent_cache.access c ~now:(b * 20) ~cluster:0
+      (coherent c ~now:(b * 20) ~cluster:0
          ~addr:(b * cfg.Config.block_size) ~store:false)
   done;
   check state "early block evicted" `Invalid
@@ -275,9 +299,9 @@ let test_interleaved_traffic () =
 
 let test_coherent_traffic () =
   let c = Coherent_cache.create cfg in
-  ignore (Coherent_cache.access c ~now:0 ~cluster:0 ~addr:0 ~store:false);
-  ignore (Coherent_cache.access c ~now:100 ~cluster:1 ~addr:0 ~store:false);
-  ignore (Coherent_cache.access c ~now:200 ~cluster:0 ~addr:0 ~store:true);
+  ignore (coherent c ~now:0 ~cluster:0 ~addr:0 ~store:false);
+  ignore (coherent c ~now:100 ~cluster:1 ~addr:0 ~store:false);
+  ignore (coherent c ~now:200 ~cluster:0 ~addr:0 ~store:true);
   let tr = Coherent_cache.traffic c in
   check ci "one invalidation" 1 tr.Coherent_cache.invalidations;
   check ci "one cache-to-cache transfer" 1 tr.Coherent_cache.cache_to_cache;

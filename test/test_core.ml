@@ -291,7 +291,10 @@ let test_hints_top_k () =
     { Schedule.ii = 1; n_clusters = 4; cluster = [| 0; 0; 0 |];
       start = [| 0; 0; 0 |]; copies = [] }
   in
-  let flags = Hints.attractable cfg g ~profile ~schedule ~k:1 () in
+  (* Two buffer entries: K = 1. *)
+  let flags =
+    Hints.attractable { cfg with Config.ab_entries = 2 } g ~profile ~schedule
+  in
   check cb "largest benefit marked" true flags.(l1);
   check cb "smaller benefit cut by k" false flags.(l2);
   check cb "local op never marked" false flags.(l3)

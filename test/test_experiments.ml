@@ -207,15 +207,30 @@ let test_every_benchmark_schedules_validly () =
     WL.Mediabench.all
 
 let test_hints_help_epicdec () =
-  let stall hints =
-    Stats.stall_cycles
-      (Context.run ctx (bench "epicdec") (Context.interleaved `Ipbc)
-         ~arch:with_ab ~ab_entries:8 ~hints ())
-  in
-  check cb "hints do not hurt with an 8-entry buffer" true
-    (stall true <= stall false)
+  match
+    Context.run_batch ctx (bench "epicdec") (Context.interleaved `Ipbc)
+      [
+        Context.cell ~ab_entries:8 ~hints:true with_ab;
+        Context.cell ~ab_entries:8 with_ab;
+      ]
+  with
+  | [ (hinted, _); (plain, _) ] ->
+      check cb "hints do not hurt with an 8-entry buffer" true
+        (Stats.stall_cycles hinted <= Stats.stall_cycles plain)
+  | _ -> Alcotest.fail "one result per cell"
 
-(* Context.run's knob forwarding against the executable specification:
+(* A cell's full configuration is validated like any machine: an AB
+   capacity that is not a whole number of sets is rejected, not
+   silently rounded down. *)
+let test_batch_rejects_invalid_cell () =
+  match
+    Context.run_batch ctx (bench "gsmdec") (Context.interleaved `Ipbc)
+      [ Context.cell ~ab_entries:3 with_ab ]
+  with
+  | _ -> Alcotest.fail "an AB capacity of 3 entries was simulated"
+  | exception Invalid_argument _ -> ()
+
+(* A cell's knob forwarding against the executable specification:
    the AB-capacity override and the attractable hints must reach the
    simulated machine exactly as a hand-built reference run applies
    them — one fresh machine on the overridden config, kept across every
@@ -242,7 +257,7 @@ let test_run_knobs_match_reference () =
                   Some
                     (Vliw_core.Hints.attractable cfg ddg
                        ~profile:c.Pipeline.profile
-                       ~schedule:c.Pipeline.schedule ())
+                       ~schedule:c.Pipeline.schedule)
                 else None
               in
               Stats.accumulate ~into:expected
@@ -250,7 +265,12 @@ let test_run_knobs_match_reference () =
                    ~addr_of:(WL.Layout.addr_fn exec_layout ddg)
                    ?attractable ()))
             (Context.compiled ctx b spec);
-          let got = Context.run ctx b spec ~arch:with_ab ~ab_entries ~hints () in
+          let got =
+            fst
+              (List.hd
+                 (Context.run_batch ctx b spec
+                    [ Context.cell ~ab_entries ~hints with_ab ]))
+          in
           check cb
             (Printf.sprintf "epicdec AB-%d hints=%b: run = reference" ab_entries
                hints)
@@ -282,5 +302,7 @@ let suite =
     ("ablation: hints help epicdec", `Slow, test_hints_help_epicdec);
     ("context: run forwards AB size and hints like the reference", `Slow,
      test_run_knobs_match_reference);
+    ("context: invalid batch cell rejected", `Quick,
+     test_batch_rejects_invalid_cell);
     ("worked example: final latencies", `Quick, test_worked_example_full);
   ]

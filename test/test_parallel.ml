@@ -17,15 +17,22 @@ let cil = Alcotest.(list int)
 
 (* ----------------------------------------------------------- the pool *)
 
+(* A pool of [jobs] workers for the duration of [f]. *)
+let with_pool jobs f =
+  let p = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
+let map_with jobs f xs = with_pool jobs (fun p -> Pool.map p f xs)
+
 let test_map_ordered_preserves_order () =
   let xs = List.init 100 Fun.id in
   let f x = (x * 7) + 3 in
   check cil "jobs=4 equals List.map" (List.map f xs)
-    (Pool.map_ordered ~jobs:4 f xs);
+    (map_with 4 f xs);
   check cil "jobs=1 equals List.map" (List.map f xs)
-    (Pool.map_ordered ~jobs:1 f xs);
-  check cil "empty list" [] (Pool.map_ordered ~jobs:4 f []);
-  check cil "singleton" [ f 9 ] (Pool.map_ordered ~jobs:4 f [ 9 ])
+    (map_with 1 f xs);
+  check cil "empty list" [] (map_with 4 f []);
+  check cil "singleton" [ f 9 ] (map_with 4 f [ 9 ])
 
 let test_map_ordered_random_lists () =
   QCheck.Test.check_exn
@@ -33,11 +40,11 @@ let test_map_ordered_random_lists () =
        QCheck.(list small_int)
        (fun xs ->
          let f x = (x * x) - (3 * x) in
-         Pool.map_ordered ~jobs:3 f xs = List.map f xs))
+         map_with 3 f xs = List.map f xs))
 
 let test_exception_propagates () =
   match
-    Pool.map_ordered ~jobs:4
+    map_with 4
       (fun i -> if i >= 5 then failwith (Printf.sprintf "boom%d" i) else i)
       (List.init 10 Fun.id)
   with
@@ -54,10 +61,10 @@ let test_nested_map_runs_sequentially () =
       (List.init 8 Fun.id)
   in
   let got =
-    Pool.map_ordered ~jobs:4
+    map_with 4
       (fun i ->
         List.fold_left ( + ) 0
-          (Pool.map_ordered ~jobs:4 (fun j -> i * j) (List.init 5 Fun.id)))
+          (map_with 4 (fun j -> i * j) (List.init 5 Fun.id)))
       (List.init 8 Fun.id)
   in
   check cil "nested map" expected got
@@ -124,7 +131,7 @@ let test_memo_single_flight () =
   let ctx = Context.create () in
   let spec = Context.interleaved `Ipbc in
   let results =
-    Pool.map_ordered ~jobs:8
+    map_with 8
       (fun _ -> Context.compiled ctx (bench "gsmdec") spec)
       (List.init 8 Fun.id)
   in

@@ -403,13 +403,9 @@ let random_profile_loop rng =
   done;
   Loop.make ~name:"profiled" ~trip_count:(64 * (1 + gen_int 15)) (Builder.build b)
 
-(* What a profile run needs of a config beyond [Config.validate]: a
-   presence model with at least one set of whole ways. *)
-let profilable (c : Config.t) =
-  let n_blocks = c.Config.cache_size / c.Config.block_size in
-  Config.validate c = Ok ()
-  && n_blocks >= c.Config.associativity
-  && n_blocks mod c.Config.associativity = 0
+(* [Config.validate] covers what a profile run needs: a presence model
+   with at least one set of whole ways. *)
+let profilable (c : Config.t) = Config.validate c = Ok ()
 
 let random_geometry gen_int (c : Config.t) =
   let pow2 k = 1 lsl k in
@@ -422,7 +418,7 @@ let random_geometry gen_int (c : Config.t) =
     interleaving_factor;
     block_size;
     cache_size = n_blocks * block_size;
-    associativity = min n_blocks (pow2 (gen_int 2));
+    associativity = min (n_blocks / n_clusters) (pow2 (gen_int 2));
   }
 
 (* Every field outside the cache geometry, redrawn so that [b] differs
@@ -672,15 +668,15 @@ let prop_msi_single_writer =
         QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound)
       in
       let c = Vliw_arch.Coherent_cache.create cfg in
+      let r = Vliw_arch.Access.scratch () in
       let ok = ref true in
       for step = 0 to 300 do
         let cluster = gen_int 3 in
         let block = gen_int 9 in
         let store = gen_int 1 = 1 in
-        ignore
-          (Vliw_arch.Coherent_cache.access c ~now:(step * 20) ~cluster
-             ~addr:(block * cfg.Vliw_arch.Config.block_size)
-             ~store);
+        Vliw_arch.Coherent_cache.access c r ~now:(step * 20) ~cluster
+          ~addr:(block * cfg.Vliw_arch.Config.block_size)
+          ~store;
         for b = 0 to 9 do
           let holders =
             List.filter
@@ -710,22 +706,21 @@ let prop_interleaved_locality_honest =
         QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound)
       in
       let c = Vliw_arch.Interleaved_cache.create cfg in
+      let r = Vliw_arch.Access.scratch () in
       let ok = ref true in
       for step = 0 to 300 do
         let cluster = gen_int 3 in
         let addr = 4 * gen_int 200 in
-        let r =
-          Vliw_arch.Interleaved_cache.access c ~now:(step * 30) ~cluster ~addr
-            ~store:(gen_int 1 = 1) ()
-        in
+        Vliw_arch.Interleaved_cache.access c r ~attract:true ~now:(step * 30)
+          ~cluster ~addr ~store:(gen_int 1 = 1);
         let local = Vliw_arch.Config.cluster_of_addr cfg addr = cluster in
-        (match r.Vliw_arch.Access.kind with
+        (match r.Vliw_arch.Access.s_kind with
         | Vliw_arch.Access.Local_hit | Vliw_arch.Access.Local_miss ->
             if not local then ok := false
         | Vliw_arch.Access.Remote_hit | Vliw_arch.Access.Remote_miss ->
             if local then ok := false
         | Vliw_arch.Access.Combined -> ());
-        if r.Vliw_arch.Access.ready_at < (step * 30) + 1 then ok := false
+        if r.Vliw_arch.Access.s_ready_at < (step * 30) + 1 then ok := false
       done;
       !ok)
 

@@ -348,12 +348,6 @@ let test_schedule_metrics () =
       in
       check ci "ops partitioned over clusters" (Ddg.n_ops g) total
 
-let test_engine_max_ii_gives_none () =
-  let g = wide_loop () in
-  check cb "impossible II budget" true
-    (Engine.schedule cfg g ~latency:(default_latency g) ~min_ii:1 ~max_ii:1 ()
-     = None)
-
 (* The 16-node graph (found by random search) on which the greedy
    single-pass scheduler wedges at *every* II: the node closing one of
    the recurrences always finds an empty zero-distance window.  The
@@ -480,7 +474,6 @@ let suite =
     ("engine: memory ops share cluster", `Quick, test_engine_memory_same_cluster);
     ("schedule: validator rejects tampering", `Quick, test_validate_rejects_tampering);
     ("schedule: metrics", `Quick, test_schedule_metrics);
-    ("engine: bounded II search can fail", `Quick, test_engine_max_ii_gives_none);
     ("schedule: kernel dump", `Quick, test_kernel_dump);
     ("ir: dot export", `Quick, test_dot_export);
     ("engine: wedge recovery", `Quick, test_wedge_recovery);

@@ -113,20 +113,22 @@ let test_fault_plan_deterministic () =
 (* --------------------------------------------------- session harness *)
 
 (* Run one stdio session in-process: write the request lines into a
-   pipe, serve until EOF/drain, read the response lines back from a
-   temp file.  Sessions stay far below the pipe's 64K capacity. *)
-let run_session ?(jobs = 1) ?chaos ?max_line ?default_deadline lines =
-  let r, w = Unix.pipe () in
+   temp file, serve it until EOF/drain, read the response lines back
+   from another.  A file rather than a pipe, so a session may exceed
+   the pipe's capacity (the oversized-line case does). *)
+let run_session ?(jobs = 1) ?chaos ?default_deadline lines =
+  let in_path = Filename.temp_file "vliw_serve_test" ".in" in
+  let oc = open_out_bin in_path in
+  output_string oc (String.concat "\n" lines ^ "\n");
+  close_out oc;
+  let r = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
   let path = Filename.temp_file "vliw_serve_test" ".out" in
   let out = open_out path in
-  let payload = String.concat "\n" lines ^ "\n" in
-  let len = String.length payload in
-  assert (Unix.write_substring w payload 0 len = len);
-  Unix.close w;
   let outcome =
-    Serve.run ~jobs ?chaos ?max_line ?default_deadline ~input:r ~output:out ()
+    Serve.run ~jobs ?chaos ?default_deadline ~input:r ~output:out ()
   in
   Unix.close r;
+  Sys.remove in_path;
   close_out out;
   let ic = open_in path in
   let rec read acc =
@@ -166,7 +168,7 @@ let mixed_session =
     "this is not json";
     {|{"req":"frobnicate"}|};
     {|{"req":"compile","bench":42}|};
-    "{\"req\":\"health\",\"pad\":\"" ^ String.make 400 'x' ^ "\"}";
+    "{\"req\":\"health\",\"pad\":\"" ^ String.make 70_000 'x' ^ "\"}";
     {|{"req":"compile","bench":"no-such-bench"}|};
     {|{"req":"simulate","bench":"gsmdec","arch":"interleaved+ab","trip_cap":64}|};
     {|{"req":"compile","bench":"gsmdec"}|};
@@ -175,7 +177,7 @@ let mixed_session =
   ]
 
 let test_e2e_one_response_per_request () =
-  let outcome, responses = run_session ~max_line:256 mixed_session in
+  let outcome, responses = run_session mixed_session in
   check ci "one response line per request line"
     (List.length mixed_session) (List.length responses);
   check cs "drained by request" "request" outcome.Serve.reason;
@@ -204,8 +206,8 @@ let test_e2e_one_response_per_request () =
     | _ -> false)
 
 let test_e2e_replay_byte_identical_across_jobs () =
-  let _, r1 = run_session ~jobs:1 ~max_line:256 mixed_session in
-  let _, r3 = run_session ~jobs:3 ~max_line:256 mixed_session in
+  let _, r1 = run_session ~jobs:1 mixed_session in
+  let _, r3 = run_session ~jobs:3 mixed_session in
   check ci "same response count" (List.length r1) (List.length r3);
   List.iteri
     (fun i (a, b) ->
@@ -331,6 +333,45 @@ let test_timeout_deterministic_and_memo_safe () =
         (status_of ok)
   | _ -> Alcotest.fail "expected exactly four responses"
 
+(* ---------------------------------------------- malformed geometry *)
+
+let error_kind line =
+  match Proto.parse line with
+  | Ok (Proto.Obj f) -> (
+      match List.assoc_opt "error" f with
+      | Some (Proto.Obj e) -> (
+          match List.assoc_opt "kind" e with
+          | Some (Proto.String k) -> k
+          | _ -> "")
+      | _ -> "")
+  | _ -> ""
+
+(* Cache geometries the models cannot build are the client's error:
+   an AB capacity that is not a whole number of sets (simulate), and
+   associativities that do not divide a cluster's module (sweep-cell),
+   answer bad_config — not ok with a silently rounded cache, and not
+   internal_error. *)
+let test_bad_geometry_rejected () =
+  let bad =
+    [
+      {|{"req":"simulate","bench":"gsmdec","ab_entries":3}|};
+      {|{"req":"sweep-cell","bench":"gsmdec","associativity":3}|};
+      {|{"req":"sweep-cell","bench":"gsmdec","associativity":1024}|};
+      {|{"req":"sweep-cell","bench":"gsmdec","cache_size":4096,"associativity":256}|};
+    ]
+  in
+  let _, responses = run_session (bad @ [ {|{"req":"drain"}|} ]) in
+  check ci "one response per request" (List.length bad + 1)
+    (List.length responses);
+  List.iteri
+    (fun i line ->
+      if i < List.length bad then begin
+        check cs (Printf.sprintf "request %d status" i) "error" (status_of line);
+        check cs (Printf.sprintf "request %d kind" i) "bad_config"
+          (error_kind line)
+      end)
+    responses
+
 let suite =
   [
     ("proto: JSON round-trips", `Quick, test_json_roundtrip);
@@ -348,4 +389,6 @@ let suite =
      test_chaos_replay_byte_identical);
     ("serve: timeouts deterministic, memo slot released", `Slow,
      test_timeout_deterministic_and_memo_safe);
+    ("serve: unbuildable cache geometry is bad_config", `Quick,
+     test_bad_geometry_rejected);
   ]

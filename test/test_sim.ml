@@ -60,11 +60,13 @@ let test_machine_dispatch () =
   List.iter
     (fun arch ->
       let m = Machine.create cfg arch in
-      let r = Machine.access m ~now:0 ~cluster:0 ~addr:0 ~store:false () in
+      let r = Access.scratch () in
+      Machine.access m r ~attract:true ~now:0 ~cluster:0 ~addr:0 ~store:false;
       check cb
         (Machine.arch_to_string arch ^ " first access misses")
         true
-        (r.Access.kind = Access.Local_miss || r.Access.kind = Access.Remote_miss);
+        (r.Access.s_kind = Access.Local_miss
+        || r.Access.s_kind = Access.Remote_miss);
       Machine.end_of_loop m)
     [
       Machine.Word_interleaved { attraction_buffers = true };
@@ -108,13 +110,17 @@ let compiled_of ~assigned_latency ~cluster ~granularity ~trip =
     bus_window_rejections = 0;
   }
 
+(* A solo run carrying compiler attract hints: the one-cell batch. *)
+let run_cell cfg machine c ?attractable ?addr_of ?addr_trace () =
+  (Executor.run_loop_batched cfg [| { Executor.machine; attractable } |] c
+     ?addr_of ?addr_trace ()).(0)
+
 let run ?attractable ~assigned_latency ~cluster ?(granularity = 4) ?(trip = 10)
     ?(arch = Machine.Word_interleaved { attraction_buffers = false })
     ?(addr = 0) () =
   let c = compiled_of ~assigned_latency ~cluster ~granularity ~trip in
   let machine = Machine.create cfg arch in
-  Executor.run_loop cfg machine c ~addr_of:(fun ~op:_ ~iter:_ -> addr)
-    ?attractable ()
+  run_cell cfg machine c ~addr_of:(fun ~op:_ ~iter:_ -> addr) ?attractable ()
 
 let test_executor_no_stall_when_covered () =
   (* Assigned latency 15 covers even the cold remote miss. *)
@@ -298,7 +304,7 @@ let test_kernel_matches_reference () =
                     Some
                       (Vliw_core.Hints.attractable cfg c.Pipeline.loop.Loop.ddg
                          ~profile:c.Pipeline.profile
-                         ~schedule:c.Pipeline.schedule ())
+                         ~schedule:c.Pipeline.schedule)
                 | _ -> None
               in
               let tag =
@@ -307,7 +313,7 @@ let test_kernel_matches_reference () =
               let m_new = Machine.create cfg arch in
               let m_ref = Machine.create cfg arch in
               let s_new =
-                Executor.run_loop cfg m_new c ~addr_of ?attractable ()
+                run_cell cfg m_new c ~addr_of ?attractable ()
               in
               let s_ref =
                 Executor.run_loop_reference cfg m_ref c ~addr_of ?attractable
@@ -404,7 +410,7 @@ let test_batched_matches_reference () =
                 Some
                   (Vliw_core.Hints.attractable (cell_cfg ab)
                      c.Pipeline.loop.Loop.ddg ~profile:c.Pipeline.profile
-                     ~schedule:c.Pipeline.schedule ())
+                     ~schedule:c.Pipeline.schedule)
             | _ -> None
           in
           let machines =
@@ -431,7 +437,7 @@ let test_batched_matches_reference () =
               let attractable = attractable_of arch ab in
               let m_solo = Machine.create ccfg arch in
               let s_solo =
-                Executor.run_loop ccfg m_solo c ~addr_trace ?attractable ()
+                run_cell ccfg m_solo c ~addr_trace ?attractable ()
               in
               let m_ref = Machine.create ccfg arch in
               let s_ref =
