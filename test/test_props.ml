@@ -724,6 +724,136 @@ let prop_interleaved_locality_honest =
       done;
       !ok)
 
+(* The flat, shift-decoded cache models against the record-based
+   implementations they replaced (test/cache_spec.ml), over random
+   geometries and access streams: power-of-two clusters, interleaving,
+   blocks and module sets; 1/2/4 ways; attraction buffers off or on with
+   power-of-two or odd set counts; stores, same-cycle bursts that land
+   on in-flight fills, and [end_of_loop] between loops.  Every access's
+   classification and ready cycle, every victim the tag array reports,
+   the occupancies, the traffic counters and the MSI states must
+   agree. *)
+let prop_caches_match_spec =
+  make_test ~name:"flat caches match the record spec" (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let gen_int bound =
+        QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound)
+      in
+      let pick l = List.nth l (gen_int (List.length l - 1)) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      (* The tag array alone, over odd set counts too. *)
+      let sets = 1 + gen_int 7 and ways = pick [ 1; 2; 4 ] in
+      let flat = Set_assoc.create ~sets ~ways in
+      let spec = Cache_spec.Set_assoc.create ~sets ~ways in
+      for _ = 1 to 200 do
+        let key = gen_int ((3 * sets * ways) - 1) in
+        match gen_int 9 with
+        | 0 ->
+            Set_assoc.flush flat;
+            Cache_spec.Set_assoc.flush spec
+        | 1 ->
+            Set_assoc.invalidate flat key;
+            Cache_spec.Set_assoc.invalidate spec key
+        | 2 ->
+            expect
+              (Set_assoc.occupancy flat = Cache_spec.Set_assoc.occupancy spec)
+        | 3 ->
+            expect
+              (Set_assoc.contains flat key
+              = Cache_spec.Set_assoc.contains spec key)
+        | 4 | 5 ->
+            expect
+              (Set_assoc.lookup flat key = Cache_spec.Set_assoc.lookup spec key)
+        | _ ->
+            expect
+              (Set_assoc.insert flat key = Cache_spec.Set_assoc.insert spec key)
+      done;
+      (* The three cache models on one random machine. *)
+      let n_clusters = pick [ 1; 2; 4; 8 ] in
+      let interleave = pick [ 1; 2; 4; 8 ] in
+      let block_size = n_clusters * interleave * pick [ 1; 2; 4 ] in
+      let associativity = pick [ 1; 2; 4 ] in
+      let ab_associativity = pick [ 1; 2; 4 ] in
+      let cfg =
+        {
+          cfg with
+          Config.n_clusters;
+          interleaving_factor = interleave;
+          block_size;
+          associativity;
+          cache_size = n_clusters * block_size * associativity * pick [ 1; 2; 4; 8 ];
+          ab_associativity;
+          ab_entries = ab_associativity * pick [ 1; 2; 3; 4; 6 ];
+        }
+      in
+      expect (Config.validate cfg = Ok ());
+      let with_ab = Random.State.bool rng and slow = Random.State.bool rng in
+      let module M = Vliw_sim.Machine in
+      let module S = Cache_spec in
+      let wi = M.create cfg (M.Word_interleaved { attraction_buffers = with_ab }) in
+      let un = M.create cfg (M.Unified { slow }) in
+      let co = M.create cfg M.Multivliw in
+      let s_wi = S.Interleaved_cache.create ~with_ab cfg in
+      let s_un = S.Unified_cache.create ~slow cfg in
+      let s_co = S.Coherent_cache.create cfg in
+      let r = Vliw_arch.Access.scratch () and q = Vliw_arch.Access.scratch () in
+      let same () =
+        expect
+          (r.Vliw_arch.Access.s_kind = q.Vliw_arch.Access.s_kind
+          && r.Vliw_arch.Access.s_ready_at = q.Vliw_arch.Access.s_ready_at)
+      in
+      let span = 3 * cfg.Config.cache_size in
+      let now = ref 0 and addr = ref 0 in
+      for _ = 1 to 400 do
+        (match gen_int 49 with
+        | 0 ->
+            M.end_of_loop wi;
+            M.end_of_loop un;
+            M.end_of_loop co;
+            S.Interleaved_cache.end_of_loop s_wi;
+            S.Unified_cache.end_of_loop s_un;
+            S.Coherent_cache.end_of_loop s_co
+        | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 ->
+            (* a burst: another word of the last block, same cycle *)
+            addr := (!addr / block_size * block_size) + gen_int (block_size - 1)
+        | _ ->
+            now := !now + gen_int (cfg.Config.lat_remote_miss + 2);
+            addr := gen_int (span - 1));
+        let cluster = gen_int (n_clusters - 1) in
+        let store = gen_int 3 = 0 and attract = gen_int 3 > 0 in
+        let now = !now and addr = !addr in
+        M.access wi r ~attract ~now ~cluster ~addr ~store;
+        S.Interleaved_cache.access s_wi q ~attract ~now ~cluster ~addr ~store;
+        same ();
+        M.access un r ~attract ~now ~cluster ~addr ~store;
+        S.Unified_cache.access s_un q ~now ~addr;
+        same ();
+        M.access co r ~attract ~now ~cluster ~addr ~store;
+        S.Coherent_cache.access s_co q ~now ~cluster ~addr ~store;
+        same ();
+        (match M.state wi with
+        | M.Interleaved_state c ->
+            for cl = 0 to n_clusters - 1 do
+              expect
+                (Vliw_arch.Interleaved_cache.ab_occupancy c cl
+                = S.Interleaved_cache.ab_occupancy s_wi cl)
+            done
+        | _ -> expect false);
+        expect (M.traffic_summary wi = S.interleaved_summary s_wi);
+        expect (M.traffic_summary co = S.coherent_summary s_co);
+        match M.state co with
+        | M.Coherent_state c ->
+            let block = addr / block_size in
+            for cl = 0 to n_clusters - 1 do
+              expect
+                (Vliw_arch.Coherent_cache.state c ~cluster:cl ~block
+                = S.Coherent_cache.state s_co ~cluster:cl ~block)
+            done
+        | _ -> expect false
+      done;
+      !ok)
+
 (* End-to-end determinism: compiling and simulating the same benchmark
    twice yields identical statistics. *)
 let prop_simulation_deterministic =
@@ -833,6 +963,7 @@ let suite =
   @ [
       prop_msi_single_writer;
       prop_interleaved_locality_honest;
+      prop_caches_match_spec;
       prop_simulation_deterministic;
       prop_batch_composition;
     ]
