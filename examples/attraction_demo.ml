@@ -21,8 +21,10 @@ let () =
   let cfg = Config.default in
   let c = IC.create ~with_ab:true cfg in
   let r = Access.scratch () in
+  let dec = Config.decoder cfg in
   let show what ~now ~cluster ~addr =
-    IC.access c r ~attract:true ~now ~cluster ~addr ~store:false;
+    IC.access c r ~attract:true ~now ~cluster ~block:(Config.block_of dec addr)
+      ~home:(Config.home_of dec addr) ~store:false;
     Format.printf "  %-34s -> %-11s (ready at %d)@." what
       (Access.kind_to_string r.Access.s_kind)
       r.Access.s_ready_at

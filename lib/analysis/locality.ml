@@ -132,11 +132,12 @@ type verdict = Local | Remote | Mixed
 
 let touched_clusters cfg ~parts stream =
   let i_factor = cfg.Config.interleaving_factor in
+  let dec = Config.decoder cfg in
   let seen = Array.make cfg.Config.n_clusters false in
   List.iter
     (fun r ->
       for q = 0 to parts - 1 do
-        seen.(Config.cluster_of_addr cfg (r + (q * i_factor))) <- true
+        seen.(Config.home_of dec (r + (q * i_factor))) <- true
       done)
     (Lattice.residues stream);
   let acc = ref [] in

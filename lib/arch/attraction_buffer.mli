@@ -7,7 +7,8 @@
 type t
 
 val create : Config.t -> t
-(** One buffer per cluster, [ab_entries] entries, [ab_associativity]-way. *)
+(** One buffer per cluster, [ab_entries] entries, [ab_associativity]-way.
+    @raise Invalid_argument on a geometry {!Config.decoder} refuses. *)
 
 val holds : t -> cluster:int -> block:int -> home:int -> bool
 (** Does [cluster]'s buffer hold the subblock of [block] homed at cluster

@@ -1,5 +1,3 @@
-type mstate = Modified | Shared
-
 type traffic = {
   mutable invalidations : int;
   mutable cache_to_cache : int;
@@ -7,136 +5,102 @@ type traffic = {
   mutable snoops : int;
 }
 
+(* Each line's MSI state sits beside its key: [dirty.(c)] is indexed by
+   the slots of [caches.(c)], true for Modified and false for Shared; a
+   line absent from the tags is Invalid.  So a snoop allocates nothing. *)
 type t = {
   cfg : Config.t;
+  cluster_shift : int;
   caches : Set_assoc.t array;  (** per-cluster residency + LRU *)
-  states : (int, mstate) Hashtbl.t;  (** cluster * n_blocks_space + block *)
-  pending : Int_table.t;  (** same key -> fill-ready cycle *)
+  dirty : bool array array;
+  pending : Int_table.t;  (** (block lsl cluster_shift) lor cluster -> fill-ready cycle *)
   stats : traffic;
 }
 
-(* Key packing: blocks are unbounded, clusters are not, so the cluster is
-   the low component. *)
-let key t ~cluster ~block = (block * t.cfg.Config.n_clusters) + cluster
-
 let create (cfg : Config.t) =
+  let { Config.cluster_shift; _ } = Config.decoder cfg in
   let blocks_per_cluster =
     cfg.Config.cache_size / cfg.Config.n_clusters / cfg.Config.block_size
   in
   {
     cfg;
+    cluster_shift;
     caches =
       Array.init cfg.Config.n_clusters (fun _ ->
           Set_assoc.create
             ~sets:(blocks_per_cluster / cfg.Config.associativity)
             ~ways:cfg.Config.associativity);
-    states = Hashtbl.create 256;
+    dirty =
+      Array.init cfg.Config.n_clusters (fun _ ->
+          Array.make blocks_per_cluster false);
     pending = Int_table.create 64;
     stats = { invalidations = 0; cache_to_cache = 0; memory_fills = 0; snoops = 0 };
   }
 
-let state_of t ~cluster ~block = Hashtbl.find_opt t.states (key t ~cluster ~block)
+let rec has_holder t ~block ~except c =
+  c < Array.length t.caches
+  && ((c <> except && Set_assoc.find t.caches.(c) block >= 0)
+     || has_holder t ~block ~except (c + 1))
 
-let set_state t ~cluster ~block st =
-  Hashtbl.replace t.states (key t ~cluster ~block) st
-
-let drop_state t ~cluster ~block = Hashtbl.remove t.states (key t ~cluster ~block)
-
-let holders t ~block ~except =
-  let acc = ref [] in
-  for c = t.cfg.Config.n_clusters - 1 downto 0 do
-    if c <> except && Option.is_some (state_of t ~cluster:c ~block) then
-      acc := c :: !acc
+(* A peer's copy is demoted to Shared by a load and invalidated by a
+   store; a store's snoop counts one bus transaction if it killed any
+   copy. *)
+let snoop_others t ~block ~except ~store =
+  let killed = ref 0 in
+  for c = 0 to Array.length t.caches - 1 do
+    let s = Set_assoc.find t.caches.(c) block in
+    if c <> except && s >= 0 then
+      if store then begin
+        Set_assoc.invalidate t.caches.(c) block;
+        incr killed
+      end
+      else t.dirty.(c).(s) <- false
   done;
-  !acc
+  t.stats.invalidations <- t.stats.invalidations + !killed;
+  if !killed > 0 then t.stats.snoops <- t.stats.snoops + 1
 
-(* Allocation-free holder scan for the hit paths: most accesses only
-   need to know whether *some* other cluster holds the block. *)
-let has_holder t ~block ~except =
-  let n = t.cfg.Config.n_clusters in
-  let rec scan c =
-    c < n
-    && ((c <> except && Hashtbl.mem t.states (key t ~cluster:c ~block))
-       || scan (c + 1))
-  in
-  scan 0
-
-let install t ~cluster ~block st =
-  (match Set_assoc.insert t.caches.(cluster) block with
-  | Some evicted -> drop_state t ~cluster ~block:evicted
-  | None -> ());
-  set_state t ~cluster ~block st
-
-let invalidate_others t ~block ~except =
-  let victims = holders t ~block ~except in
-  t.stats.invalidations <- t.stats.invalidations + List.length victims;
-  if victims <> [] then t.stats.snoops <- t.stats.snoops + 1;
-  List.iter
-    (fun c ->
-      Set_assoc.invalidate t.caches.(c) block;
-      drop_state t ~cluster:c ~block)
-    victims
-
-let access t (out : Access.scratch) ~now ~cluster ~addr ~store =
+let access t (out : Access.scratch) ~now ~cluster ~block ~store =
   let cfg = t.cfg in
-  let block = Config.block_of_addr cfg addr in
-  let k = key t ~cluster ~block in
-  let pending_ready = Int_table.find t.pending k ~default:(-1) in
-  if pending_ready > now then begin
+  let k = (block lsl t.cluster_shift) lor cluster in
+  let pending_ready = Int_table.find_after t.pending k ~now in
+  if pending_ready >= 0 then begin
     out.Access.s_kind <- Access.Combined;
     out.Access.s_ready_at <- pending_ready
   end
   else
-    let local_state =
-      if Set_assoc.lookup t.caches.(cluster) block then
-        state_of t ~cluster ~block
-      else None
-    in
-    match local_state with
-    | Some Modified ->
-        out.Access.s_kind <- Access.Local_hit;
-        out.Access.s_ready_at <- now + cfg.Config.lat_local_hit
-    | Some Shared ->
-        if store then begin
-          invalidate_others t ~block ~except:cluster;
-          set_state t ~cluster ~block Modified
-        end;
-        out.Access.s_kind <- Access.Local_hit;
-        out.Access.s_ready_at <- now + cfg.Config.lat_local_hit
-    | None ->
-        if has_holder t ~block ~except:cluster then begin
-          (* Cache-to-cache transfer over the memory buses. *)
-          if store then invalidate_others t ~block ~except:cluster
-          else
-            List.iter
-              (fun c -> set_state t ~cluster:c ~block Shared)
-              (holders t ~block ~except:cluster);
-          install t ~cluster ~block (if store then Modified else Shared);
-          t.stats.cache_to_cache <- t.stats.cache_to_cache + 1;
-          t.stats.snoops <- t.stats.snoops + 1;
-          let ready = now + cfg.Config.lat_remote_hit in
-          Int_table.set t.pending k ready;
-          out.Access.s_kind <- Access.Remote_hit;
-          out.Access.s_ready_at <- ready
-        end
-        else begin
-          install t ~cluster ~block (if store then Modified else Shared);
-          t.stats.memory_fills <- t.stats.memory_fills + 1;
-          t.stats.snoops <- t.stats.snoops + 1;
-          let ready = now + cfg.Config.lat_local_miss in
-          Int_table.set t.pending k ready;
-          out.Access.s_kind <- Access.Local_miss;
-          out.Access.s_ready_at <- ready
-        end
+    let s = Set_assoc.use t.caches.(cluster) block in
+    if s >= 0 then begin
+      (* A store to a Shared line upgrades it and kills the peers. *)
+      if store && not t.dirty.(cluster).(s) then begin
+        snoop_others t ~block ~except:cluster ~store;
+        t.dirty.(cluster).(s) <- true
+      end;
+      out.Access.s_kind <- Access.Local_hit;
+      out.Access.s_ready_at <- now + cfg.Config.lat_local_hit
+    end
+    else begin
+      let peer = has_holder t ~block ~except:cluster 0 in
+      if peer then begin
+        (* Cache-to-cache transfer over the memory buses. *)
+        snoop_others t ~block ~except:cluster ~store;
+        t.stats.cache_to_cache <- t.stats.cache_to_cache + 1
+      end
+      else t.stats.memory_fills <- t.stats.memory_fills + 1;
+      ignore (Set_assoc.fill t.caches.(cluster) block);
+      t.dirty.(cluster).(Set_assoc.find t.caches.(cluster) block) <- store;
+      t.stats.snoops <- t.stats.snoops + 1;
+      let ready =
+        now + if peer then cfg.Config.lat_remote_hit else cfg.Config.lat_local_miss
+      in
+      Int_table.set t.pending k ready;
+      out.Access.s_kind <- (if peer then Access.Remote_hit else Access.Local_miss);
+      out.Access.s_ready_at <- ready
+    end
 
 let end_of_loop t = Int_table.reset t.pending
 
 let state t ~cluster ~block =
-  if not (Set_assoc.contains t.caches.(cluster) block) then `Invalid
-  else
-    match state_of t ~cluster ~block with
-    | Some Modified -> `Modified
-    | Some Shared -> `Shared
-    | None -> `Invalid
+  let s = Set_assoc.find t.caches.(cluster) block in
+  if s < 0 then `Invalid else if t.dirty.(cluster).(s) then `Modified else `Shared
 
 let traffic t = t.stats

@@ -12,12 +12,13 @@
 type t
 
 val create : Config.t -> t
+(** @raise Invalid_argument on a geometry {!Config.decoder} refuses. *)
 
 val access :
-  t -> Access.scratch -> now:int -> cluster:int -> addr:int -> store:bool -> unit
-(** One word access at absolute cycle [now] from [cluster]; the
-    classification and ready cycle are written into the caller's
-    scratch slot (no allocation). *)
+  t -> Access.scratch -> now:int -> cluster:int -> block:int -> store:bool -> unit
+(** One word access to [block] ({!Config.block_of} of the address) at
+    absolute cycle [now] from [cluster]; the classification and ready
+    cycle are written into the caller's scratch slot (no allocation). *)
 
 val end_of_loop : t -> unit
 (** Forget pending-fill bookkeeping (cache contents persist; the

@@ -53,10 +53,31 @@ let module_size t = t.cache_size / t.n_clusters
 let subblock_size t = t.block_size / t.n_clusters
 let max_unroll t = t.n_clusters * t.interleaving_factor
 
-let cluster_of_addr t addr = addr / t.interleaving_factor mod t.n_clusters
-let block_of_addr t addr = addr / t.block_size
-
 let is_pow2 x = x > 0 && x land (x - 1) = 0
+
+type decode = {
+  block_shift : int;
+  unit_shift : int;
+  cluster_shift : int;
+  cluster_mask : int;
+}
+
+let decoder t =
+  let log2 field x =
+    if not (is_pow2 x) then
+      invalid_arg ("Config.decoder: " ^ field ^ " must be a power of two");
+    let rec go k = if 1 lsl k = x then k else go (k + 1) in
+    go 0
+  in
+  {
+    block_shift = log2 "block_size" t.block_size;
+    unit_shift = log2 "interleaving_factor" t.interleaving_factor;
+    cluster_shift = log2 "n_clusters" t.n_clusters;
+    cluster_mask = t.n_clusters - 1;
+  }
+
+let block_of d addr = addr lsr d.block_shift
+let home_of d addr = (addr lsr d.unit_shift) land d.cluster_mask
 
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in
@@ -106,7 +127,7 @@ let fingerprint t = Digest.to_hex (Digest.string (Marshal.to_string t []))
 
 (* Exactly the fields [Layout.create] and [Profiling.profile_loop] read:
    clusters and interleaving (through [max_unroll] and
-   [cluster_of_addr]) and the cache geometry of the presence model. *)
+   [decoder]) and the cache geometry of the presence model. *)
 let profile_fingerprint t =
   Printf.sprintf "c%d·i%d·s%d·b%d·a%d" t.n_clusters t.interleaving_factor
     t.cache_size t.block_size t.associativity

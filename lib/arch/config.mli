@@ -43,10 +43,26 @@ val max_unroll : t -> int
 (** N x I: the paper's maximum unrolling factor, in *iterations* — used
     with byte strides (see {!Vliw_core.Unroll_select}). *)
 
-val cluster_of_addr : t -> int -> int
-(** Home cluster of a byte address under word interleaving. *)
+(** Address decode by shifts and masks, built once per cache or per
+    simulation call, never per access. *)
+type decode = {
+  block_shift : int;
+  unit_shift : int;  (** log2 of the interleaving factor *)
+  cluster_shift : int;
+  cluster_mask : int;
+}
 
-val block_of_addr : t -> int -> int
+val decoder : t -> decode
+(** @raise Invalid_argument unless [n_clusters], [block_size] and
+    [interleaving_factor] are powers of two: a shift would silently
+    mis-map any other geometry. *)
+
+val block_of : decode -> int -> int
+(** Block number of a non-negative byte address. *)
+
+val home_of : decode -> int -> int
+(** Home cluster of a non-negative byte address under word
+    interleaving. *)
 
 val validate : t -> (unit, string) result
 (** Check internal consistency: powers of two, divisibility, ordered

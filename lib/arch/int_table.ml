@@ -16,6 +16,7 @@ type t = {
   mutable vals : int array;
   mutable live : int;
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
+  mutable latest : int;  (* the largest value set since the last reset *)
 }
 
 let create capacity =
@@ -28,6 +29,7 @@ let create capacity =
     vals = Array.make cap 0;
     live = 0;
     mask = cap - 1;
+    latest = -1;
   }
 
 (* Fibonacci hashing: spreads consecutive keys (block ids are dense)
@@ -55,6 +57,7 @@ let grow t =
 
 let set t key value =
   if key < 0 then invalid_arg "Int_table.set: negative key";
+  if value > t.latest then t.latest <- value;
   let i = probe t.keys t.mask key (slot_of t key) in
   if t.keys.(i) = -1 then begin
     t.keys.(i) <- key;
@@ -64,14 +67,15 @@ let set t key value =
   end
   else t.vals.(i) <- value
 
-(* [find t key ~default] never allocates. *)
-let find t key ~default =
-  if key < 0 then default
+(* Once [now] has reached every value set, nothing needs probing. *)
+let find_after t key ~now =
+  if now >= t.latest || key < 0 then -1
   else
     let i = probe t.keys t.mask key (slot_of t key) in
-    if t.keys.(i) = -1 then default else t.vals.(i)
+    if t.keys.(i) <> -1 && t.vals.(i) > now then t.vals.(i) else -1
 
 let reset t =
+  t.latest <- -1;
   if t.live > 0 then begin
     Array.fill t.keys 0 (t.mask + 1) (-1);
     t.live <- 0

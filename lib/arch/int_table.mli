@@ -2,7 +2,7 @@
     int values — the pending-request bookkeeping of the cache models,
     probed on every simulated access.
 
-    [set] and [find] never allocate once the table has grown to its
+    [set] and [find_after] never allocate once the table has grown to its
     working size; there is no per-key deletion, only {!reset} (the
     between-loops flush), which clears every binding but keeps the
     capacity. *)
@@ -16,9 +16,10 @@ val create : int -> t
 val set : t -> int -> int -> unit
 (** Insert or overwrite.  @raise Invalid_argument on a negative key. *)
 
-val find : t -> int -> default:int -> int
-(** [find t k ~default] is the value bound to [k], or [default].
-    Never allocates. *)
+val find_after : t -> int -> now:int -> int
+(** The value bound to a key if it is greater than [now] (a request
+    still in flight), else -1.  Answers without probing once [now] has
+    reached every value set since the last {!reset}. *)
 
 val reset : t -> unit
 (** Remove every binding, keeping the allocated capacity. *)

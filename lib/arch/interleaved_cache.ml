@@ -6,18 +6,21 @@ type traffic = {
 
 type t = {
   cfg : Config.t;
+  cluster_shift : int;
   tags : Set_assoc.t;  (** replicated tags: presence of whole blocks *)
   ab : Attraction_buffer.t option;
   stats : traffic;
   pending : Int_table.t;
-      (** (block * n_clusters + home) -> ready cycle of the in-flight
-          request for that subblock *)
+      (** (block lsl cluster_shift) lor home -> ready cycle of the
+          in-flight request for that subblock *)
 }
 
 let create ?(with_ab = false) cfg =
+  let { Config.cluster_shift; _ } = Config.decoder cfg in
   let n_blocks = cfg.Config.cache_size / cfg.Config.block_size in
   {
     cfg;
+    cluster_shift;
     tags =
       Set_assoc.create
         ~sets:(n_blocks / cfg.Config.associativity)
@@ -27,25 +30,12 @@ let create ?(with_ab = false) cfg =
     pending = Int_table.create 64;
   }
 
-let pending_key t ~block ~home = (block * t.cfg.Config.n_clusters) + home
-
-(* -1 = nothing in flight for that subblock (ready cycles are >= 0). *)
-let pending_ready t ~now ~block ~home =
-  let ready =
-    Int_table.find t.pending (pending_key t ~block ~home) ~default:(-1)
-  in
-  if ready > now then ready else -1
-
-let set_pending t ~block ~home ~ready =
-  Int_table.set t.pending (pending_key t ~block ~home) ready
-
 (* Writes the classification and ready cycle into [out], so the
    simulation loop allocates no result.  [attract] is a mandatory label:
    an optional argument would box a [Some b] on every call. *)
-let access t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
+let access t (out : Access.scratch) ~attract ~now ~cluster ~block ~home
+    ~store =
   let cfg = t.cfg in
-  let home = Config.cluster_of_addr cfg addr in
-  let block = Config.block_of_addr cfg addr in
   let local = home = cluster in
   let ab_hit =
     (not local)
@@ -62,19 +52,20 @@ let access t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
     out.Access.s_ready_at <- now + cfg.Config.lat_local_hit
   end
   else
-    let ready = pending_ready t ~now ~block ~home in
+    let sub = (block lsl t.cluster_shift) lor home in
+    let ready = Int_table.find_after t.pending sub ~now in
     if ready >= 0 then begin
       out.Access.s_kind <- Access.Combined;
       out.Access.s_ready_at <- ready
     end
-    else if Set_assoc.lookup t.tags block then
+    else if Set_assoc.use t.tags block >= 0 then
       if local then begin
         out.Access.s_kind <- Access.Local_hit;
         out.Access.s_ready_at <- now + cfg.Config.lat_local_hit
       end
       else begin
         let ready = now + cfg.Config.lat_remote_hit in
-        set_pending t ~block ~home ~ready;
+        Int_table.set t.pending sub ready;
         t.stats.remote_words <- t.stats.remote_words + 1;
         (match t.ab with
         | Some ab when attract && not store ->
@@ -87,7 +78,7 @@ let access t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
     else begin
       (* Miss: the whole block is fetched; every subblock is in
          flight until the fill completes. *)
-      ignore (Set_assoc.insert t.tags block);
+      ignore (Set_assoc.fill t.tags block);
       t.stats.block_fills <- t.stats.block_fills + 1;
       if not local then t.stats.remote_words <- t.stats.remote_words + 1;
       let lat =
@@ -95,8 +86,9 @@ let access t (out : Access.scratch) ~attract ~now ~cluster ~addr ~store =
         else cfg.Config.lat_remote_miss
       in
       let ready = now + lat in
+      let first = block lsl t.cluster_shift in
       for m = 0 to cfg.Config.n_clusters - 1 do
-        set_pending t ~block ~home:m ~ready
+        Int_table.set t.pending (first lor m) ready
       done;
       out.Access.s_kind <-
         (if local then Access.Local_miss else Access.Remote_miss);

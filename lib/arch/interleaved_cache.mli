@@ -13,7 +13,8 @@
 type t
 
 val create : ?with_ab:bool -> Config.t -> t
-(** [with_ab] defaults to [false]. *)
+(** [with_ab] defaults to [false].
+    @raise Invalid_argument on a geometry {!Config.decoder} refuses. *)
 
 val access :
   t ->
@@ -21,10 +22,13 @@ val access :
   attract:bool ->
   now:int ->
   cluster:int ->
-  addr:int ->
+  block:int ->
+  home:int ->
   store:bool ->
   unit
-(** Perform one word access at absolute cycle [now] from [cluster].
+(** Perform one word access at absolute cycle [now] from [cluster] to
+    the word of [block] homed at [home] ({!Config.block_of} and
+    {!Config.home_of} of the address).
     Updates tags, pending-request state and attraction buffers, and
     writes the classification and the cycle the datum is ready into the
     caller's scratch slot (no allocation).  [attract] lets the

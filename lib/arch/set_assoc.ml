@@ -1,80 +1,73 @@
-(* Each way stores (key, stamp); stamp is a monotonic use counter, the
-   smallest stamp in a set is the LRU victim.  Sets are small (2-4 ways),
-   so linear scans are the right tool. *)
-
-type entry = { mutable key : int; mutable stamp : int; mutable valid : bool }
+(* Way [w] of set [s] is slot [s * ways + w] of two flat arrays: its key
+   (-1 = invalid) and the stamp of its last use, a monotonic counter
+   whose smallest value in a set marks the LRU victim.  The scans are
+   top-level functions over [int array]-annotated arguments, so [=] and
+   [<] are integer compares and no closure is built per call. *)
 
 type t = {
-  n_sets : int;
-  n_ways : int;
-  entries : entry array array;  (** [set].(way) *)
+  ways : int;
+  sets : int;
+  mask : int;  (** [sets - 1] when [sets] is a power of two, else -1 *)
+  keys : int array;
+  stamps : int array;
   mutable clock : int;
 }
 
 let create ~sets ~ways =
   if sets <= 0 || ways <= 0 then invalid_arg "Set_assoc.create";
   {
-    n_sets = sets;
-    n_ways = ways;
-    entries =
-      Array.init sets (fun _ ->
-          Array.init ways (fun _ -> { key = 0; stamp = 0; valid = false }));
+    ways;
+    sets;
+    mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
+    keys = Array.make (sets * ways) (-1);
+    stamps = Array.make (sets * ways) 0;
     clock = 0;
   }
 
-let set_of t key = key mod t.n_sets
+let[@inline] first t key =
+  if key < 0 then invalid_arg "Set_assoc: negative key";
+  (if t.mask >= 0 then key land t.mask else key mod t.sets) * t.ways
 
-let find_way t key =
-  let set = t.entries.(set_of t key) in
-  let rec scan i =
-    if i >= t.n_ways then None
-    else if set.(i).valid && set.(i).key = key then Some set.(i)
-    else scan (i + 1)
-  in
-  scan 0
+let rec scan (keys : int array) key i stop =
+  if i = stop then -1 else if keys.(i) = key then i else scan keys key (i + 1) stop
 
-let contains t key = Option.is_some (find_way t key)
+(* The first invalid way, else the smallest stamp; [v] is valid. *)
+let rec victim (keys : int array) (stamps : int array) v i stop =
+  if i = stop then v
+  else if keys.(i) < 0 then i
+  else victim keys stamps (if stamps.(i) < stamps.(v) then i else v) (i + 1) stop
 
-let touch t e =
+let[@inline] find t key =
+  let b = first t key in
+  scan t.keys key b (b + t.ways)
+
+let[@inline] touch t i =
   t.clock <- t.clock + 1;
-  e.stamp <- t.clock
+  t.stamps.(i) <- t.clock
 
-let lookup t key =
-  match find_way t key with
-  | Some e ->
-      touch t e;
-      true
-  | None -> false
+let use t key =
+  let i = find t key in
+  if i >= 0 then touch t i;
+  i
 
-let insert t key =
-  match find_way t key with
-  | Some e ->
-      touch t e;
-      None
-  | None ->
-      let set = t.entries.(set_of t key) in
-      let victim = ref set.(0) in
-      Array.iter
-        (fun e ->
-          if not e.valid then begin
-            if !victim.valid then victim := e
-          end
-          else if !victim.valid && e.stamp < !victim.stamp then victim := e)
-        set;
-      let evicted = if !victim.valid then Some !victim.key else None in
-      !victim.key <- key;
-      !victim.valid <- true;
-      touch t !victim;
-      evicted
+let fill t key =
+  let b = first t key in
+  let stop = b + t.ways in
+  let i = scan t.keys key b stop in
+  if i >= 0 then begin
+    touch t i;
+    -1
+  end
+  else
+    let v = if t.keys.(b) < 0 then b else victim t.keys t.stamps b (b + 1) stop in
+    let evicted = t.keys.(v) in
+    t.keys.(v) <- key;
+    touch t v;
+    evicted
 
 let invalidate t key =
-  match find_way t key with Some e -> e.valid <- false | None -> ()
+  let i = find t key in
+  if i >= 0 then t.keys.(i) <- -1
 
-let flush t =
-  Array.iter (fun set -> Array.iter (fun e -> e.valid <- false) set) t.entries
-
-let occupancy t =
-  Array.fold_left
-    (fun acc set ->
-      Array.fold_left (fun acc e -> if e.valid then acc + 1 else acc) acc set)
-    0 t.entries
+let flush t = Array.fill t.keys 0 (Array.length t.keys) (-1)
+let occupancy t = Array.fold_left (fun n k -> if k >= 0 then n + 1 else n) 0 t.keys

@@ -1,23 +1,29 @@
 (** Generic set-associative tag array with true-LRU replacement.
 
-    Keys are arbitrary non-negative integers (block numbers, or packed
-    (block, module) pairs for attraction buffers); the structure maps a
-    key to its set by modulo and stores the full key, so it never aliases. *)
+    Keys are non-negative integers (block numbers, or packed
+    (block, module) pairs for attraction buffers), stored whole, so they
+    never alias.  Way [w] of set [s] is {e slot} [s * ways + w] of flat
+    key and stamp arrays; a key's set is [key land (sets - 1)] for a
+    power-of-two set count, [key mod sets] otherwise.  Nothing
+    allocates, and a negative key raises [Invalid_argument]. *)
 
 type t
 
 val create : sets:int -> ways:int -> t
 (** @raise Invalid_argument if either argument is non-positive. *)
 
-val contains : t -> int -> bool
-(** Presence check without touching LRU state. *)
+val find : t -> int -> int
+(** The slot holding a key, or -1, without touching LRU state.  The
+    slot stays the key's until it is evicted or invalidated, so it can
+    index per-way side arrays of [sets * ways] entries. *)
 
-val lookup : t -> int -> bool
-(** Presence check; on a hit the entry becomes most-recently used. *)
+val use : t -> int -> int
+(** As {!find}, and a hit becomes most-recently used. *)
 
-val insert : t -> int -> int option
-(** Insert a key (MRU).  Returns the evicted key, if any.  Inserting a
-    present key refreshes its LRU position and evicts nothing. *)
+val fill : t -> int -> int
+(** Insert a key (MRU) into the first invalid way of its set, else over
+    the LRU one, and return the evicted key or -1.  Filling a present
+    key refreshes it and evicts nothing. *)
 
 val invalidate : t -> int -> unit
 (** Remove a key if present. *)

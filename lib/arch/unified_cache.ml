@@ -20,19 +20,18 @@ let create ~slow (cfg : Config.t) =
 
 let hit_latency t = t.hit_lat
 
-let access t (out : Access.scratch) ~now ~addr =
-  let block = Config.block_of_addr t.cfg addr in
-  let ready = Int_table.find t.pending block ~default:(-1) in
-  if ready > now then begin
+let access t (out : Access.scratch) ~now ~block =
+  let ready = Int_table.find_after t.pending block ~now in
+  if ready >= 0 then begin
     out.Access.s_kind <- Access.Combined;
     out.Access.s_ready_at <- ready
   end
-  else if Set_assoc.lookup t.tags block then begin
+  else if Set_assoc.use t.tags block >= 0 then begin
     out.Access.s_kind <- Access.Local_hit;
     out.Access.s_ready_at <- now + t.hit_lat
   end
   else begin
-    ignore (Set_assoc.insert t.tags block);
+    ignore (Set_assoc.fill t.tags block);
     let ready = now + t.hit_lat + t.cfg.Config.lat_next_level in
     Int_table.set t.pending block ready;
     out.Access.s_kind <- Access.Local_miss;

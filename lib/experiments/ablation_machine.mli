@@ -8,7 +8,8 @@
       factor should match the dominant access size ("if a processor is
       to be built for the gsm family of applications, a 2-byte
       interleaving factor would match better the applications'
-      characteristics").  I in {2, 4, 8} bytes.
+      characteristics").  I in {2, 4, 8} bytes; the table's note names
+      the benchmarks no wider factor beats.
     - {!Clusters} — the introduction's motivation for fully distributed
       designs: 2, 4 and 8 clusters; only the partitioning changes. *)
 

@@ -166,7 +166,9 @@ let cell_cfg t cl =
 (* A cell config may vary everything simulation-side, but it must be a
    machine the cache models can build, and the plan bakes in the
    cluster count and interleaving factor — a mismatch would have the
-   executor issuing to clusters the cell's cache doesn't map. *)
+   executor issuing to clusters the cell's cache doesn't map.  The
+   executor also decodes each address once for the whole batch, so the
+   block size must be the plan's too. *)
 let check_cell t cl =
   let c = cell_cfg t cl in
   (match Config.validate c with
@@ -175,10 +177,11 @@ let check_cell t cl =
   if
     c.Config.n_clusters <> t.cfg.Config.n_clusters
     || c.Config.interleaving_factor <> t.cfg.Config.interleaving_factor
+    || c.Config.block_size <> t.cfg.Config.block_size
   then
     invalid_arg
-      "Context: batch cell config disagrees with the plan on cluster count \
-       or interleaving factor"
+      "Context: batch cell config disagrees with the plan on cluster count, \
+       interleaving factor or block size"
 
 let batch_machines_and_loops t bench spec ?trip_cap cells =
   List.iter (check_cell t) cells;

@@ -95,7 +95,9 @@ type cell = {
 (** One memory-hierarchy point of a batched sweep: architecture, an
     optional full per-cell configuration (the design-space sweep's
     cache-geometry axis — must agree with the context's config on
-    cluster count and interleaving factor, which the plan bakes in), an
+    cluster count and interleaving factor, which the plan bakes in, and
+    on block size, since the executor decodes each address once for the
+    whole batch), an
     optional attraction-buffer capacity override applied on top, and
     whether the compiler's attractable hints are applied (with K
     derived from the cell's own AB capacity, Section 5.2). *)
@@ -123,7 +125,7 @@ val run_batch :
 
     @raise Invalid_argument if a cell's full configuration fails
     {!Vliw_arch.Config.validate} or disagrees with the context's on
-    cluster count or interleaving factor.
+    cluster count, interleaving factor or block size.
 
     [trip_cap] (source iterations per loop; default unlimited) cuts
     every loop after [ceil (trip_cap / unroll_factor)] unrolled

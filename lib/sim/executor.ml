@@ -218,6 +218,15 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
         | Some flags -> Array.map (fun op -> flags.(op)) p.ops)
       cells
   in
+  (* Each part is decoded once for every cell, so the cells must decode
+     like the plan. *)
+  let dec = Config.decoder cfg in
+  if Array.exists (fun cell -> Machine.decode cell.machine <> dec) cells then
+    invalid_arg "Executor: a cell's machine decodes addresses unlike the plan";
+  let { Config.block_shift; unit_shift; cluster_mask; _ } = dec in
+  let max_parts = Array.fold_left max 1 p.parts in
+  let blocks = Array.make max_parts 0 in
+  let homes = Array.make max_parts 0 in
   let out = Access.scratch () in
   let slowest = Access.scratch () in
   (* One monomorphic access closure per cell, built once: the backend
@@ -227,15 +236,16 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
     match Machine.state cells.(j).machine with
     | Machine.Interleaved_state ic ->
         let att = attracts.(j) in
-        fun k ~now ~addr ->
+        fun k ~now q ->
           Arch.Interleaved_cache.access ic out ~attract:att.(k) ~now
-            ~cluster:p.clusters.(k) ~addr ~store:p.stores.(k)
+            ~cluster:p.clusters.(k) ~block:blocks.(q) ~home:homes.(q)
+            ~store:p.stores.(k)
     | Machine.Unified_state uc ->
-        fun _ ~now ~addr -> Arch.Unified_cache.access uc out ~now ~addr
+        fun _ ~now q -> Arch.Unified_cache.access uc out ~now ~block:blocks.(q)
     | Machine.Coherent_state cc ->
-        fun k ~now ~addr ->
+        fun k ~now q ->
           Arch.Coherent_cache.access cc out ~now ~cluster:p.clusters.(k)
-            ~addr ~store:p.stores.(k)
+            ~block:blocks.(q) ~store:p.stores.(k)
   in
   let accesses = Array.init m access_of in
   for iter = 0 to trip - 1 do
@@ -248,15 +258,20 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
     for k = 0 to n - 1 do
       let base = trace.(row + k) in
       let parts = p.parts.(k) in
+      for q = 0 to parts - 1 do
+        let addr = base + (q * i_factor) in
+        blocks.(q) <- addr lsr block_shift;
+        homes.(q) <- (addr lsr unit_shift) land cluster_mask
+      done;
       let slot = (iter * ii) + p.starts.(k) in
       for j = 0 to m - 1 do
         let issue = slot + stalls.(j) in
         let access = accesses.(j) in
-        access k ~now:issue ~addr:base;
+        access k ~now:issue 0;
         slowest.Access.s_kind <- out.Access.s_kind;
         slowest.Access.s_ready_at <- out.Access.s_ready_at;
         for q = 1 to parts - 1 do
-          access k ~now:issue ~addr:(base + (q * i_factor));
+          access k ~now:issue q;
           if out.Access.s_ready_at >= slowest.Access.s_ready_at then begin
             slowest.Access.s_kind <- out.Access.s_kind;
             slowest.Access.s_ready_at <- out.Access.s_ready_at

@@ -17,16 +17,22 @@ type state =
   | Unified_state of Arch.Unified_cache.t
   | Coherent_state of Arch.Coherent_cache.t
 
-type t = state
+type t = { state : state; decode : Arch.Config.decode }
 
-let create cfg = function
-  | Word_interleaved { attraction_buffers } ->
-      Interleaved_state
-        (Arch.Interleaved_cache.create ~with_ab:attraction_buffers cfg)
-  | Unified { slow } -> Unified_state (Arch.Unified_cache.create ~slow cfg)
-  | Multivliw -> Coherent_state (Arch.Coherent_cache.create cfg)
+let create cfg arch =
+  let decode = Arch.Config.decoder cfg in
+  let state =
+    match arch with
+    | Word_interleaved { attraction_buffers } ->
+        Interleaved_state
+          (Arch.Interleaved_cache.create ~with_ab:attraction_buffers cfg)
+    | Unified { slow } -> Unified_state (Arch.Unified_cache.create ~slow cfg)
+    | Multivliw -> Coherent_state (Arch.Coherent_cache.create cfg)
+  in
+  { state; decode }
 
-let state t = t
+let state t = t.state
+let decode t = t.decode
 
 (* One machine per swept configuration: the struct-of-arrays state of a
    batched executor run.  Each entry may override the attraction-buffer
@@ -45,21 +51,23 @@ let create_batch cfg specs =
        specs)
 
 let access t out ~attract ~now ~cluster ~addr ~store =
-  match t with
+  let block = Arch.Config.block_of t.decode addr in
+  match t.state with
   | Interleaved_state c ->
-      Arch.Interleaved_cache.access c out ~attract ~now ~cluster ~addr ~store
-  | Unified_state c -> Arch.Unified_cache.access c out ~now ~addr
+      Arch.Interleaved_cache.access c out ~attract ~now ~cluster ~block
+        ~home:(Arch.Config.home_of t.decode addr) ~store
+  | Unified_state c -> Arch.Unified_cache.access c out ~now ~block
   | Coherent_state c ->
-      Arch.Coherent_cache.access c out ~now ~cluster ~addr ~store
+      Arch.Coherent_cache.access c out ~now ~cluster ~block ~store
 
 let end_of_loop t =
-  match t with
+  match t.state with
   | Interleaved_state c -> Arch.Interleaved_cache.end_of_loop c
   | Unified_state c -> Arch.Unified_cache.end_of_loop c
   | Coherent_state c -> Arch.Coherent_cache.end_of_loop c
 
 let traffic_summary t =
-  match t with
+  match t.state with
   | Interleaved_state c ->
       let tr = Arch.Interleaved_cache.traffic c in
       [

@@ -19,7 +19,11 @@ type state =
 type t
 
 val create : Vliw_arch.Config.t -> arch -> t
+(** @raise Invalid_argument on a geometry {!Vliw_arch.Config.decoder}
+    refuses. *)
+
 val state : t -> state
+val decode : t -> Vliw_arch.Config.decode
 
 val create_batch :
   Vliw_arch.Config.t -> (arch * int option) list -> t array
@@ -37,8 +41,9 @@ val access :
   addr:int ->
   store:bool ->
   unit
-(** One word access, dispatched on the backend per call, its result
-    written into the caller's scratch slot.  [cluster] is ignored by the
+(** One word access to a non-negative byte address, decoded and
+    dispatched on the backend per call, its result written into the
+    caller's scratch slot.  [cluster] is ignored by the
     unified cache, [attract] by every backend but the interleaved
     one. *)
 

@@ -41,19 +41,20 @@ let profile_loop (cfg : Config.t) layout (loop : Loop.t) =
       parts.(k) <- max 1 ((granularity + i_factor - 1) / i_factor))
     ops;
   let addr_of = Layout.addr_fn layout ddg in
+  let dec = Config.decoder cfg in
   for iter = 0 to iters - 1 do
     for k = 0 to nm - 1 do
       let op = ops.(k) in
       let addr = addr_of ~op ~iter in
-      let block = Config.block_of_addr cfg addr in
-      if Set_assoc.lookup tags block then hits.(op) <- hits.(op) + 1
-      else ignore (Set_assoc.insert tags block);
+      let block = Config.block_of dec addr in
+      if Set_assoc.use tags block >= 0 then hits.(op) <- hits.(op) + 1
+      else ignore (Set_assoc.fill tags block);
+      (* [fill] refreshes a present block, as a hit would. *)
       for p = 1 to parts.(k) - 1 do
-        let bp = Config.block_of_addr cfg (addr + (p * i_factor)) in
-        if not (Set_assoc.lookup tags bp) then ignore (Set_assoc.insert tags bp)
+        ignore (Set_assoc.fill tags (Config.block_of dec (addr + (p * i_factor))))
       done;
       counts.(op) <- counts.(op) + 1;
-      let c = Config.cluster_of_addr cfg addr in
+      let c = Config.home_of dec addr in
       clusters.(op).(c) <- clusters.(op).(c) + 1
     done
   done;

@@ -1,14 +1,23 @@
 (* Executable specification of the cache models: the record-based
    implementations the flat, shift-decoded models in [Vliw_arch]
    replaced, kept verbatim.  Sets are arrays of mutable entry records,
-   addresses are decoded by division, and the multiVLIW's MSI state
-   lives in a hashtable.  Slow but obviously right — the flat models
-   must agree with them access for access (see "flat caches match the
-   record spec" in test_props.ml). *)
+   addresses are decoded by division, and the multiVLIW's MSI states
+   and every model's pending requests live in hashtables.  Slow but
+   obviously right — the flat models must agree with them access for
+   access (see "flat caches match the record spec" in test_props.ml). *)
 
 module Access = Vliw_arch.Access
 module Config = Vliw_arch.Config
-module Int_table = Vliw_arch.Int_table
+
+(* The pending-request map, on the stdlib table. *)
+module Int_table = struct
+  type t = (int, int) Hashtbl.t
+
+  let create n : t = Hashtbl.create n
+  let find t k ~default = Option.value ~default (Hashtbl.find_opt t k)
+  let set = Hashtbl.replace
+  let reset = Hashtbl.reset
+end
 
 module Set_assoc = struct
   (* Each way stores (key, stamp); stamp is a monotonic use counter, the

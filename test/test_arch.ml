@@ -43,11 +43,43 @@ let test_config_validation () =
     ]
 
 let test_addr_mapping () =
-  check ci "addr 0 -> cluster 0" 0 (Config.cluster_of_addr cfg 0);
-  check ci "addr 4 -> cluster 1" 1 (Config.cluster_of_addr cfg 4);
-  check ci "addr 12 -> cluster 3" 3 (Config.cluster_of_addr cfg 12);
-  check ci "addr 16 wraps to cluster 0" 0 (Config.cluster_of_addr cfg 16);
-  check ci "block of 33" 1 (Config.block_of_addr cfg 33)
+  let dec = Config.decoder cfg in
+  check ci "addr 0 -> cluster 0" 0 (Config.home_of dec 0);
+  check ci "addr 4 -> cluster 1" 1 (Config.home_of dec 4);
+  check ci "addr 12 -> cluster 3" 3 (Config.home_of dec 12);
+  check ci "addr 16 wraps to cluster 0" 0 (Config.home_of dec 16);
+  check ci "block of 33" 1 (Config.block_of dec 33);
+  for addr = 0 to 4 * cfg.Config.cache_size do
+    check ci "shift decode: home" (Cache_spec.cluster_of_addr cfg addr)
+      (Config.home_of dec addr);
+    check ci "shift decode: block" (Cache_spec.block_of_addr cfg addr)
+      (Config.block_of dec addr)
+  done
+
+(* Shift decode would silently mis-map a geometry that is not a power
+   of two, so the decoder — and every cache model and machine built
+   through it — refuses one. *)
+let test_decoder_rejects bad () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s built on a non-power-of-two geometry" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "decoder" (fun () -> ignore (Config.decoder bad));
+  raises "interleaved cache" (fun () -> ignore (Interleaved_cache.create bad));
+  raises "attraction buffer" (fun () -> ignore (Attraction_buffer.create bad));
+  raises "coherent cache" (fun () -> ignore (Coherent_cache.create bad));
+  List.iter
+    (fun arch ->
+      raises (Vliw_sim.Machine.arch_to_string arch) (fun () ->
+          ignore (Vliw_sim.Machine.create bad arch)))
+    Vliw_sim.Machine.
+      [
+        Word_interleaved { attraction_buffers = false };
+        Word_interleaved { attraction_buffers = true };
+        Unified { slow = true };
+        Multivliw;
+      ]
 
 let test_access_latency () =
   check ci "local hit" 1 (Access.latency cfg Access.Local_hit);
@@ -60,51 +92,51 @@ let test_access_latency () =
 
 let test_set_assoc_basic () =
   let t = Set_assoc.create ~sets:2 ~ways:2 in
-  check cb "miss on empty" false (Set_assoc.lookup t 0);
-  check cb "no eviction when filling" true (Set_assoc.insert t 0 = None);
-  check cb "hit after insert" true (Set_assoc.lookup t 0);
+  check cb "miss on empty" false (Set_assoc.use t 0 >= 0);
+  check ci "no eviction when filling" (-1) (Set_assoc.fill t 0);
+  check cb "hit after insert" true (Set_assoc.use t 0 >= 0);
   check ci "occupancy" 1 (Set_assoc.occupancy t)
 
 let test_set_assoc_lru () =
   let t = Set_assoc.create ~sets:1 ~ways:2 in
-  ignore (Set_assoc.insert t 10);
-  ignore (Set_assoc.insert t 20);
+  ignore (Set_assoc.fill t 10);
+  ignore (Set_assoc.fill t 20);
   (* Touch 10 so 20 becomes LRU. *)
-  ignore (Set_assoc.lookup t 10);
-  check (Alcotest.option ci) "20 evicted" (Some 20) (Set_assoc.insert t 30);
-  check cb "10 survived" true (Set_assoc.contains t 10)
+  ignore (Set_assoc.use t 10);
+  check ci "20 evicted" 20 (Set_assoc.fill t 30);
+  check cb "10 survived" true (Set_assoc.find t 10 >= 0)
 
 let test_set_assoc_contains_no_touch () =
   let t = Set_assoc.create ~sets:1 ~ways:2 in
-  ignore (Set_assoc.insert t 10);
-  ignore (Set_assoc.insert t 20);
-  (* contains must not refresh 10's LRU position. *)
-  ignore (Set_assoc.contains t 10);
-  check (Alcotest.option ci) "10 still LRU" (Some 10) (Set_assoc.insert t 30)
+  ignore (Set_assoc.fill t 10);
+  ignore (Set_assoc.fill t 20);
+  (* find must not refresh 10's LRU position. *)
+  ignore (Set_assoc.find t 10);
+  check ci "10 still LRU" 10 (Set_assoc.fill t 30)
 
 let test_set_assoc_reinsert () =
   let t = Set_assoc.create ~sets:1 ~ways:2 in
-  ignore (Set_assoc.insert t 10);
-  ignore (Set_assoc.insert t 20);
-  check (Alcotest.option ci) "reinsert evicts nothing" None
-    (Set_assoc.insert t 10);
-  check (Alcotest.option ci) "20 now LRU... refreshed 10 stays" (Some 20)
-    (Set_assoc.insert t 30)
+  ignore (Set_assoc.fill t 10);
+  ignore (Set_assoc.fill t 20);
+  check ci "reinsert evicts nothing" (-1)
+    (Set_assoc.fill t 10);
+  check ci "20 now LRU... refreshed 10 stays" 20
+    (Set_assoc.fill t 30)
 
 let test_set_assoc_invalidate_flush () =
   let t = Set_assoc.create ~sets:2 ~ways:2 in
-  ignore (Set_assoc.insert t 0);
-  ignore (Set_assoc.insert t 1);
+  ignore (Set_assoc.fill t 0);
+  ignore (Set_assoc.fill t 1);
   Set_assoc.invalidate t 0;
-  check cb "invalidated" false (Set_assoc.contains t 0);
+  check cb "invalidated" false (Set_assoc.find t 0 >= 0);
   Set_assoc.flush t;
   check ci "flush empties" 0 (Set_assoc.occupancy t)
 
 let test_set_assoc_no_alias () =
   (* Two keys mapping to the same set must not be confused. *)
   let t = Set_assoc.create ~sets:2 ~ways:2 in
-  ignore (Set_assoc.insert t 2);
-  check cb "4 not present despite same set" false (Set_assoc.contains t 4)
+  ignore (Set_assoc.fill t 2);
+  check cb "4 not present despite same set" false (Set_assoc.find t 4 >= 0)
 
 (* --------------------------------------------------- attraction buffer *)
 
@@ -136,9 +168,12 @@ let test_ab_capacity () =
 
 (* --------------------------------------------------- interleaved cache *)
 
+let dec = Config.decoder cfg
+
 let access c ?(attract = true) ?(store = false) ~now ~cluster addr =
   let r = Access.scratch () in
-  Interleaved_cache.access c r ~attract ~now ~cluster ~addr ~store;
+  Interleaved_cache.access c r ~attract ~now ~cluster
+    ~block:(Config.block_of dec addr) ~home:(Config.home_of dec addr) ~store;
   r
 
 let test_interleaved_classification () =
@@ -208,7 +243,7 @@ let test_interleaved_whole_block_pending () =
 
 let unified c ~now ~addr =
   let r = Access.scratch () in
-  Unified_cache.access c r ~now ~addr;
+  Unified_cache.access c r ~now ~block:(Config.block_of dec addr);
   r
 
 let test_unified () =
@@ -235,7 +270,8 @@ let state = Alcotest.of_pp (fun ppf s ->
 
 let coherent c ~now ~cluster ~addr ~store =
   let r = Access.scratch () in
-  Coherent_cache.access c r ~now ~cluster ~addr ~store;
+  Coherent_cache.access c r ~now ~cluster ~block:(Config.block_of dec addr)
+    ~store;
   r
 
 let test_coherent_load_sharing () =
@@ -313,6 +349,12 @@ let suite =
     ("config: defaults valid", `Quick, test_config_default);
     ("config: validation", `Quick, test_config_validation);
     ("config: address mapping", `Quick, test_addr_mapping);
+    ("config: 3 clusters do not decode", `Quick,
+     test_decoder_rejects { cfg with Config.n_clusters = 3 });
+    ("config: 48-byte blocks do not decode", `Quick,
+     test_decoder_rejects { cfg with Config.block_size = 48 });
+    ("config: 3-byte interleaving does not decode", `Quick,
+     test_decoder_rejects { cfg with Config.interleaving_factor = 3 });
     ("access: latencies", `Quick, test_access_latency);
     ("set-assoc: basics", `Quick, test_set_assoc_basic);
     ("set-assoc: LRU order", `Quick, test_set_assoc_lru);

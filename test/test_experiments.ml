@@ -230,6 +230,19 @@ let test_batch_rejects_invalid_cell () =
   | _ -> Alcotest.fail "an AB capacity of 3 entries was simulated"
   | exception Invalid_argument _ -> ()
 
+(* The executor decodes each address once for a whole batch, so a cell
+   whose block size differs from the plan's is rejected — even though
+   on its own it is a valid machine. *)
+let test_batch_rejects_other_block_size () =
+  let wide = { (Context.cfg ctx) with Config.block_size = 64 } in
+  check cb "a 64-byte-block machine is valid" true (Config.validate wide = Ok ());
+  match
+    Context.run_batch ctx (bench "gsmdec") (Context.interleaved `Ipbc)
+      [ Context.cell with_ab; Context.cell ~cfg:wide with_ab ]
+  with
+  | _ -> Alcotest.fail "a cell with another block size was simulated"
+  | exception Invalid_argument _ -> ()
+
 (* A cell's knob forwarding against the executable specification:
    the AB-capacity override and the attractable hints must reach the
    simulated machine exactly as a hand-built reference run applies
@@ -304,5 +317,7 @@ let suite =
      test_run_knobs_match_reference);
     ("context: invalid batch cell rejected", `Quick,
      test_batch_rejects_invalid_cell);
+    ("context: cell with another block size rejected", `Quick,
+     test_batch_rejects_other_block_size);
     ("worked example: final latencies", `Quick, test_worked_example_full);
   ]

@@ -134,7 +134,7 @@ let test_classify_singleton () =
   let base = 4 * 5 in
   (* residue 20 mod 16 = 4 -> cluster 1 *)
   let stream = Lattice.of_residue ~modulus base in
-  let home = Config.cluster_of_addr cfg base in
+  let home = Config.home_of (Config.decoder cfg) base in
   check cb "assigned = home is Local" true
     (Locality.classify cfg ~assigned:home ~parts:1 stream = Locality.Local);
   check cb "assigned <> home is Remote" true

@@ -366,9 +366,11 @@ let prop_set_assoc_matches_reference =
         | 3 | 4 -> expect (Set_assoc.occupancy t = ref_occupancy ())
         | 5 | 6 | 7 ->
             expect
-              (Set_assoc.contains t key = List.mem key reference.(key mod sets))
-        | 8 | 9 | 10 | 11 | 12 -> expect (Set_assoc.lookup t key = ref_lookup key)
-        | _ -> expect (Set_assoc.insert t key = ref_insert key)
+              ((Set_assoc.find t key >= 0) = List.mem key reference.(key mod sets))
+        | 8 | 9 | 10 | 11 | 12 -> expect ((Set_assoc.use t key >= 0) = ref_lookup key)
+        | _ ->
+            expect
+              (Set_assoc.fill t key = Option.value ~default:(-1) (ref_insert key))
       done;
       !ok)
 
@@ -674,8 +676,7 @@ let prop_msi_single_writer =
         let cluster = gen_int 3 in
         let block = gen_int 9 in
         let store = gen_int 1 = 1 in
-        Vliw_arch.Coherent_cache.access c r ~now:(step * 20) ~cluster
-          ~addr:(block * cfg.Vliw_arch.Config.block_size)
+        Vliw_arch.Coherent_cache.access c r ~now:(step * 20) ~cluster ~block
           ~store;
         for b = 0 to 9 do
           let holders =
@@ -711,9 +712,11 @@ let prop_interleaved_locality_honest =
       for step = 0 to 300 do
         let cluster = gen_int 3 in
         let addr = 4 * gen_int 200 in
+        let dec = Config.decoder cfg in
         Vliw_arch.Interleaved_cache.access c r ~attract:true ~now:(step * 30)
-          ~cluster ~addr ~store:(gen_int 1 = 1);
-        let local = Vliw_arch.Config.cluster_of_addr cfg addr = cluster in
+          ~cluster ~block:(Config.block_of dec addr)
+          ~home:(Config.home_of dec addr) ~store:(gen_int 1 = 1);
+        let local = Config.home_of dec addr = cluster in
         (match r.Vliw_arch.Access.s_kind with
         | Vliw_arch.Access.Local_hit | Vliw_arch.Access.Local_miss ->
             if not local then ok := false
@@ -760,14 +763,15 @@ let prop_caches_match_spec =
               (Set_assoc.occupancy flat = Cache_spec.Set_assoc.occupancy spec)
         | 3 ->
             expect
-              (Set_assoc.contains flat key
+              ((Set_assoc.find flat key >= 0)
               = Cache_spec.Set_assoc.contains spec key)
         | 4 | 5 ->
             expect
-              (Set_assoc.lookup flat key = Cache_spec.Set_assoc.lookup spec key)
+              ((Set_assoc.use flat key >= 0) = Cache_spec.Set_assoc.lookup spec key)
         | _ ->
             expect
-              (Set_assoc.insert flat key = Cache_spec.Set_assoc.insert spec key)
+              (Set_assoc.fill flat key
+              = Option.value ~default:(-1) (Cache_spec.Set_assoc.insert spec key))
       done;
       (* The three cache models on one random machine. *)
       let n_clusters = pick [ 1; 2; 4; 8 ] in

@@ -465,6 +465,57 @@ let test_batched_matches_reference () =
       Pipeline.Multivliw;
     ]
 
+(* The simulator's allocation budget, a deterministic counter: on a
+   warm context (compiles and address traces memoized), a 72-cell
+   interleaved batch with and without attraction buffers — the
+   design-space sweep's cache-size x associativity x AB axes — and a
+   four-backend batch must allocate under one minor word per simulated
+   cell-access, set-up of machines and per-loop statistics included. *)
+let test_batches_allocation_free () =
+  let module C = Vliw_experiments.Context in
+  let ctx = C.create () in
+  let bench = Vliw_workloads.Mediabench.find "gsmdec" in
+  let spec = C.interleaved `Ipbc in
+  let dse =
+    List.concat_map
+      (fun cache_size ->
+        List.concat_map
+          (fun associativity ->
+            List.map
+              (fun ab ->
+                let c = { cfg with Config.cache_size; associativity } in
+                let c = if ab > 0 then { c with Config.ab_entries = ab } else c in
+                C.cell ~cfg:c
+                  (Machine.Word_interleaved { attraction_buffers = ab > 0 }))
+              [ 0; 2; 4; 8; 16; 32 ])
+          [ 1; 2; 4 ])
+      [ 2048; 4096; 8192; 16384 ]
+  in
+  let backends =
+    List.map C.cell
+      [
+        Machine.Word_interleaved { attraction_buffers = false };
+        Machine.Word_interleaved { attraction_buffers = true };
+        Machine.Unified { slow = true };
+        Machine.Multivliw;
+      ]
+  in
+  check ci "72 sweep cells" 72 (List.length dse);
+  List.iter
+    (fun cells ->
+      ignore (C.run_batch ctx bench spec ~trip_cap:512 cells);
+      let before = Gc.minor_words () in
+      let results = C.run_batch ctx bench spec ~trip_cap:512 cells in
+      let words = Gc.minor_words () -. before in
+      let accesses =
+        List.fold_left (fun acc (s, _) -> acc + Stats.total_accesses s) 0 results
+      in
+      let per = words /. float_of_int accesses in
+      if not (per < 1.0) then
+        Alcotest.failf "%d cells: %.2f minor words per cell-access (%d accesses)"
+          (List.length cells) per accesses)
+    [ dse; backends ]
+
 let suite =
   [
     ("stats: counters", `Quick, test_stats_counts);
@@ -484,4 +535,6 @@ let suite =
      test_kernel_matches_reference);
     ("executor: batched sweep matches kernel and reference", `Slow,
      test_batched_matches_reference);
+    ("executor: < 1 minor word per cell-access", `Quick,
+     test_batches_allocation_free);
   ]
