@@ -12,9 +12,8 @@ val create : slow:bool -> Config.t -> t
 val hit_latency : t -> int
 
 val access : t -> Access.scratch -> now:int -> block:int -> unit
-(** One access to [block] ({!Config.block_of} of the address, so of a
-    power-of-two geometry) at absolute cycle [now]; the classification
-    and ready cycle are written into the caller's scratch slot. *)
+(** One access to [block] ({!Config.block_of} of the address) at cycle
+    [now]; the result is written into the caller's scratch slot. *)
 
 val end_of_loop : t -> unit
 (** Forget pending-fill bookkeeping between loops. *)

@@ -164,11 +164,10 @@ let cell_cfg t cl =
   | Some n -> { base with Config.ab_entries = n }
 
 (* A cell config may vary everything simulation-side, but it must be a
-   machine the cache models can build, and the plan bakes in the
-   cluster count and interleaving factor — a mismatch would have the
-   executor issuing to clusters the cell's cache doesn't map.  The
-   executor also decodes each address once for the whole batch, so the
-   block size must be the plan's too. *)
+   machine the cache models can build, and agree with the plan on what
+   the executor shares across cells: the cluster count and interleaving
+   factor the plan bakes in, and the block size of its one address
+   decode per batch. *)
 let check_cell t cl =
   let c = cell_cfg t cl in
   (match Config.validate c with

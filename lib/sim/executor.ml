@@ -219,7 +219,9 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
       cells
   in
   (* Each part is decoded once for every cell, so the cells must decode
-     like the plan. *)
+     like the plan.  The shifts are [Config.block_of] and [home_of]
+     inlined: dune's default profile builds with -opaque, which stops
+     cross-module inlining, and a call per part costs. *)
   let dec = Config.decoder cfg in
   if Array.exists (fun cell -> Machine.decode cell.machine <> dec) cells then
     invalid_arg "Executor: a cell's machine decodes addresses unlike the plan";
