@@ -173,11 +173,11 @@ let resolve_trace (p : plan) ~trip ~full_trip ~addr_of ~addr_trace =
    allocation; miss paths may grow the cache's pending table, which is
    amortized and bounded by the blocks in flight.
 
-   The inner loop resolves each mem-op's address once per iteration and
-   dispatches it to every cell.  Cells are fully independent — each has
-   its own machine, stall clock and statistics — so every cell's
-   per-access sequence is exactly what a one-cell batch of that config
-   would produce: results are bit-identical whatever the batch
+   The inner loop decodes each part of a mem-op's address once per
+   iteration and dispatches it to every cell.  Cells are independent —
+   each has its own machine, stall clock and statistics — so every
+   cell's per-access sequence is exactly what a one-cell batch of that
+   config would produce: results are bit-identical whatever the batch
    composition, which the golden suite and the batch-composition
    qcheck property assert. *)
 
