@@ -962,9 +962,179 @@ let prop_batch_composition =
              Vliw_sim.Stats.equal s_full s_sub && t_full = t_sub)
            of_full sub))
 
+(* ------------------------------------------------- oracle search spec *)
+
+module Cpsolver = Vliw_analysis.Cpsolver
+module Oracle = Vliw_analysis.Oracle
+
+(* The exact oracle against the list-trail solver and closure-trailed
+   encoder of test/oracle_spec.ml, on random loops and machines: an II
+   from the certified floor to the heuristic II, budgets from 1 to
+   30,000 so that some probes exhaust, memory chains split or not.  The two must visit the same tree: same result, same
+   decision and conflict counts, same witness schedule. *)
+let prop_oracle_matches_spec =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"oracle search matches the spec"
+       QCheck.(make Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let gen_int bound =
+           QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound)
+         in
+         let ddg = Test_oracle.build_random_ddg rng in
+         let cfg =
+           {
+             cfg with
+             Config.n_clusters = 1 lsl gen_int 2;
+             n_reg_buses = 1 + gen_int 3;
+             bus_occupancy = 1 + gen_int 1;
+           }
+         in
+         let latency = Ddg.default_latency ddg in
+         match Engine.schedule cfg ddg ~latency () with
+         | None -> true
+         | Some sch ->
+             let hii = sch.Schedule.ii in
+             let floor =
+               min hii
+                 (max (Resources.res_mii cfg ddg)
+                    (Test_oracle.independent_floor ddg ~latency))
+             in
+             let ii = max 1 (floor + gen_int (hii - floor)) in
+             (* log-uniform, so that about a quarter of the probes exhaust *)
+             let budget =
+               1 + gen_int (List.nth [ 9; 99; 999; 29_999 ] (gen_int 3))
+             in
+             let allow_cross_cluster_mem = gen_int 1 = 1 in
+             let d, st =
+               Oracle.decide cfg ddg ~latency ~allow_cross_cluster_mem ~ii
+                 ~budget ()
+             in
+             let d', st' =
+               Oracle_spec.decide cfg ddg ~latency ~allow_cross_cluster_mem ~ii
+                 ~budget ()
+             in
+             d = d'
+             && st.Cpsolver.decisions = st'.Oracle_spec.Solver.decisions
+             && st.Cpsolver.conflicts = st'.Oracle_spec.Solver.conflicts))
+
+(* One random CSP posted to both solvers through the same watcher:
+   all-different over a subset of the variables, forbidden value pairs,
+   and a trailed capacity counter on the variables that take a value
+   at or below [heavy].  [bump d] adds [d] to the counter and answers
+   the new count. *)
+type csp = {
+  sizes : int array;
+  distinct : bool array;
+  forbidden : (int * int * int * int) list;  (** v = x excludes w = y *)
+  heavy : int;
+  capacity : int;
+  order : int array;
+  bounds : int array option;  (** value bound per variable *)
+  csp_budget : int;
+}
+
+let gen_csp rng =
+  let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+  let nv = 2 + gen_int 8 in
+  let sizes = Array.init nv (fun _ -> 1 + gen_int 5) in
+  let forbidden =
+    List.init (gen_int 8) (fun _ ->
+        let v = gen_int (nv - 1) and w = gen_int (nv - 1) in
+        (v, gen_int (sizes.(v) - 1), w, gen_int (sizes.(w) - 1)))
+    |> List.filter (fun (v, _, w, _) -> v <> w)
+  in
+  let order = Array.init nv Fun.id in
+  for i = nv - 1 downto 1 do
+    let j = gen_int i in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  {
+    sizes;
+    distinct = Array.init nv (fun _ -> gen_int 2 = 0);
+    forbidden;
+    heavy = gen_int 3;
+    capacity = gen_int nv;
+    order;
+    bounds =
+      (if gen_int 1 = 0 then None
+       else Some (Array.map (fun sz -> 1 + gen_int (sz - 1)) sizes));
+    csp_budget = 1 + gen_int (List.nth [ 4; 40; 400 ] (gen_int 2));
+  }
+
+let csp_watcher p ~value ~remove ~bump ~conflict vars v =
+  let x = value v in
+  if p.distinct.(v) then
+    Array.iteri
+      (fun w wv -> if w <> v && p.distinct.(w) then remove wv x)
+      vars;
+  List.iter
+    (fun (a, xa, b, xb) ->
+      if a = v && xa = x then remove vars.(b) xb;
+      if b = v && xb = x then remove vars.(a) xa)
+    p.forbidden;
+  if x <= p.heavy && bump 1 > p.capacity then conflict ()
+
+let solve_csp_new p =
+  let module S = Cpsolver in
+  let s = S.create () in
+  let vars = Array.map (fun size -> S.new_var s ~size) p.sizes in
+  let count = ref 0 in
+  let bump d =
+    count := !count + d;
+    S.post_undo s (fun () -> count := !count - d);
+    !count
+  in
+  S.on_assign s
+    (csp_watcher p ~value:(S.value s) ~remove:(S.remove s) ~bump
+       ~conflict:(fun () -> raise S.Conflict)
+       vars);
+  let values = Option.map (fun b v -> List.init b.(v) Fun.id) p.bounds in
+  let r, st =
+    S.solve s ?values ~order:p.order ~max_decisions:p.csp_budget
+      ~max_conflicts:p.csp_budget ()
+  in
+  ( (match r with S.Sat -> 0 | S.Unsat -> 1 | S.Budget_exhausted -> 2),
+    st.S.decisions,
+    st.S.conflicts,
+    if r = S.Sat then Array.map (S.value s) vars else [||] )
+
+let solve_csp_spec p =
+  let module S = Oracle_spec.Solver in
+  let s = S.create () in
+  let vars = Array.map (fun size -> S.new_var s ~size) p.sizes in
+  let count = ref 0 in
+  let bump d =
+    count := !count + d;
+    S.post_undo s (fun () -> count := !count - d);
+    !count
+  in
+  S.on_assign s
+    (csp_watcher p ~value:(S.value s) ~remove:(S.remove s) ~bump
+       ~conflict:(fun () -> raise S.Conflict)
+       vars);
+  let values = Option.map (fun b v -> List.init b.(v) Fun.id) p.bounds in
+  let r, st =
+    S.solve s ?values ~order:p.order ~max_decisions:p.csp_budget
+      ~max_conflicts:p.csp_budget ()
+  in
+  ( (match r with S.Sat -> 0 | S.Unsat -> 1 | S.Budget_exhausted -> 2),
+    st.S.decisions,
+    st.S.conflicts,
+    if r = S.Sat then Array.map (S.value s) vars else [||] )
+
+let prop_solver_matches_spec =
+  make_test ~name:"solver search matches the spec" (fun seed ->
+      let p = gen_csp (Random.State.make [| seed |]) in
+      solve_csp_new p = solve_csp_spec p)
+
 let suite =
   suite
   @ [
+      prop_oracle_matches_spec;
+      prop_solver_matches_spec;
       prop_msi_single_writer;
       prop_interleaved_locality_honest;
       prop_caches_match_spec;
