@@ -27,7 +27,7 @@ type copy_info = {
   cu : int;  (** producer op *)
   cd : int;  (** destination cluster *)
   cuvar : int;  (** solver var of the producer's cluster *)
-  consumers : (int * int) list;  (** (consumer op, distance), cross-capable *)
+  consumers : int array;  (** consumer ops, cross-capable *)
   cpvar : int;  (** slot in [0, ii), or [ii] = absent *)
 }
 
@@ -73,7 +73,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
       List.filter_map
         (fun (e : Edge.t) ->
           if e.Edge.kind = Edge.Reg_flow && cvar.(e.Edge.dst) <> cvar.(u) then
-            Some (e.Edge.dst, e.Edge.distance)
+            Some e.Edge.dst
           else None)
         (Ddg.succs ddg u)
     in
@@ -82,7 +82,13 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
         let v = S.new_var s ~size:(ii + 1) in
         copy_idx.((u * nc) + d) <- !ncopies;
         copies :=
-          { cu = u; cd = d; cuvar = cvar.(u); consumers; cpvar = v }
+          {
+            cu = u;
+            cd = d;
+            cuvar = cvar.(u);
+            consumers = Array.of_list consumers;
+            cpvar = v;
+          }
           :: !copies;
         incr ncopies
       done
@@ -90,6 +96,9 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
   let copies = Array.of_list (List.rev !copies) in
   let ncopies = !ncopies in
   let nvars = S.n_vars s in
+  (* Every variable exists: the assignment array stays valid from here. *)
+  let asg = S.assignment s in
+  let placed cp = asg.(cp.cpvar) >= 0 && asg.(cp.cpvar) < absent in
   (* --- variable metadata ----------------------------------------- *)
   let var_kind = Array.make nvars (-1) in
   let var_obj = Array.make nvars (-1) in
@@ -107,6 +116,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
       var_kind.(cp.cpvar) <- 2;
       var_obj.(cp.cpvar) <- i)
     copies;
+  let var_ops = Array.map Array.of_list var_ops in
   let cluster_vars = List.sort_uniq compare (Array.to_list cvar) in
   let copies_of_cv = Array.make nvars [] in
   Array.iteri
@@ -116,9 +126,9 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
           copies_of_cv.(v) <- i :: copies_of_cv.(v)
       in
       watch cp.cuvar;
-      List.iter (fun (w, _) -> watch cvar.(w)) cp.consumers)
+      Array.iter (fun w -> watch cvar.(w)) cp.consumers)
     copies;
-  Array.iteri (fun v l -> copies_of_cv.(v) <- List.rev l) copies_of_cv;
+  let copies_of_cv = Array.map (fun l -> Array.of_list (List.rev l)) copies_of_cv in
   (* --- recurrences (positive-cycle feasibility checks) ----------- *)
   let recs = Array.of_list (Scc.recurrences ddg) in
   let nrecs = Array.length recs in
@@ -142,9 +152,10 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
   let rec_edges =
     Array.map
       (fun r ->
-        List.filter
-          (fun (e : Edge.t) -> r.(e.Edge.src) && r.(e.Edge.dst))
-          (Ddg.edges ddg))
+        Array.of_list
+          (List.filter
+             (fun (e : Edge.t) -> r.(e.Edge.src) && r.(e.Edge.dst))
+             (Ddg.edges ddg)))
       in_rec
   in
   let recs_of_var = Array.make nvars [] in
@@ -164,11 +175,12 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
       for r = nrecs - 1 downto 0 do
         if
           in_rec.(r).(cp.cu)
-          && List.exists (fun (w, _) -> in_rec.(r).(w)) cp.consumers
+          && Array.exists (fun w -> in_rec.(r).(w)) cp.consumers
         then add_rec cp.cpvar r
       done)
     copies;
-  (* --- shared mutable constraint state (trailed via post_undo) --- *)
+  let recs_of_var = Array.map Array.of_list recs_of_var in
+  (* --- constraint state: trailed solver cells -------------------- *)
   let ops_class =
     Array.map
       (fun (o : Vliw_ir.Operation.t) ->
@@ -178,107 +190,106 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
   let cap =
     Array.of_list (List.map (Resources.fu_capacity cfg) Resources.fu_classes)
   in
-  let ops_of_class = Array.make 3 [] in
-  for o = n - 1 downto 0 do
-    ops_of_class.(ops_class.(o)) <- o :: ops_of_class.(ops_class.(o))
-  done;
-  let ops_in = Array.make nc 0 in
-  let class_in = Array.make_matrix 3 nc 0 in
-  let copies_from = Array.make nc 0 in
-  let active_copies = ref 0 in
-  let un_class = Array.make 3 0 in
-  Array.iter (fun k -> un_class.(k) <- un_class.(k) + 1) ops_class;
-  let un_ops = ref n in
-  let fu_cnt = Array.init 3 (fun _ -> Array.make_matrix nc ii 0) in
-  let issue_cnt = Array.make_matrix nc ii 0 in
-  let bus_cnt = Array.make ii 0 in
-  let op_accounted = Array.make n false in
-  let copy_active = Array.make ncopies false in
-  let copy_accounted = Array.make ncopies false in
+  let ops_of_class =
+    Array.init 3 (fun k ->
+        Array.of_list (List.filter (fun o -> ops_class.(o) = k) (List.init n Fun.id)))
+  in
+  (* per-cluster loads; the unassigned counts are the class totals minus
+     the loads summed over clusters *)
+  let ops_in = S.new_cells s nc in
+  let class_in = S.new_cells s (3 * nc) (* k * nc + c *) in
+  let copies_from = S.new_cells s nc in
+  let active_copies = S.new_cells s 1 in
+  let fu_cnt = S.new_cells s (3 * nc * ii) (* (k * nc + c) * ii + slot *) in
+  let issue_cnt = S.new_cells s (nc * ii) (* c * ii + slot *) in
+  let bus_cnt = S.new_cells s ii in
+  let op_accounted = S.new_cells s n in
+  let copy_active = S.new_cells s ncopies in
+  let copy_accounted = S.new_cells s ncopies in
+  let bump cell =
+    let x = S.get s cell + 1 in
+    S.set s cell x;
+    x
+  in
   (* Aggregate feasibility over whole clusters: every unassigned op must
      still fit some cluster's leftover class capacity and issue room. *)
   let check_residuals () =
     for k = 0 to 2 do
-      let free = ref 0 in
+      let free = ref 0 and unplaced = ref (Array.length ops_of_class.(k)) in
       for c = 0 to nc - 1 do
-        free := !free + max 0 ((cap.(k) * ii) - class_in.(k).(c))
+        let used = S.get s (class_in + (k * nc) + c) in
+        if used < cap.(k) * ii then free := !free + (cap.(k) * ii) - used;
+        unplaced := !unplaced - used
       done;
-      if !free < un_class.(k) then raise S.Conflict
+      if !free < !unplaced then raise S.Conflict
     done;
-    let free = ref 0 in
+    let free = ref 0 and unplaced = ref n in
     for c = 0 to nc - 1 do
-      free := !free + max 0 ((width * ii) - ops_in.(c) - copies_from.(c))
+      let used = S.get s (ops_in + c) in
+      let room = (width * ii) - used - S.get s (copies_from + c) in
+      if room > 0 then free := !free + room;
+      unplaced := !unplaced - used
     done;
-    if !free < !un_ops then raise S.Conflict
+    if !free < !unplaced then raise S.Conflict
   in
   let bump_fu k c sl =
-    fu_cnt.(k).(c).(sl) <- fu_cnt.(k).(c).(sl) + 1;
-    S.post_undo s (fun () -> fu_cnt.(k).(c).(sl) <- fu_cnt.(k).(c).(sl) - 1);
-    if fu_cnt.(k).(c).(sl) > cap.(k) then raise S.Conflict;
-    if fu_cnt.(k).(c).(sl) = cap.(k) then
-      List.iter
-        (fun o ->
-          if S.value s cvar.(o) = c && not (S.is_assigned s svar.(o)) then
-            S.remove s svar.(o) sl)
-        ops_of_class.(k)
+    let cnt = bump (fu_cnt + (((k * nc) + c) * ii) + sl) in
+    if cnt > cap.(k) then raise S.Conflict;
+    if cnt = cap.(k) then begin
+      let os = ops_of_class.(k) in
+      for j = 0 to Array.length os - 1 do
+        let o = os.(j) in
+        if asg.(cvar.(o)) = c && asg.(svar.(o)) < 0 then S.remove s svar.(o) sl
+      done
+    end
   in
   let bump_issue c sl =
-    issue_cnt.(c).(sl) <- issue_cnt.(c).(sl) + 1;
-    S.post_undo s (fun () -> issue_cnt.(c).(sl) <- issue_cnt.(c).(sl) - 1);
-    if issue_cnt.(c).(sl) > width then raise S.Conflict;
-    if issue_cnt.(c).(sl) = width then begin
+    let cnt = bump (issue_cnt + (c * ii) + sl) in
+    if cnt > width then raise S.Conflict;
+    if cnt = width then begin
       for o = 0 to n - 1 do
-        if S.value s cvar.(o) = c && not (S.is_assigned s svar.(o)) then
-          S.remove s svar.(o) sl
+        if asg.(cvar.(o)) = c && asg.(svar.(o)) < 0 then S.remove s svar.(o) sl
       done;
-      Array.iter
-        (fun cp ->
-          if S.value s cp.cuvar = c && not (S.is_assigned s cp.cpvar) then
-            S.remove s cp.cpvar sl)
-        copies
+      for i = 0 to ncopies - 1 do
+        let cp = copies.(i) in
+        if asg.(cp.cuvar) = c && asg.(cp.cpvar) < 0 then S.remove s cp.cpvar sl
+      done
     end
   in
   (* no further transfer may start in a slot whose occupancy window
      covers a bus-saturated cycle *)
   let bump_bus sl =
-    bus_cnt.(sl) <- bus_cnt.(sl) + 1;
-    S.post_undo s (fun () -> bus_cnt.(sl) <- bus_cnt.(sl) - 1);
-    if bus_cnt.(sl) > nbuses then raise S.Conflict;
-    if bus_cnt.(sl) = nbuses then
-      Array.iter
-        (fun cp ->
-          if not (S.is_assigned s cp.cpvar) then
-            for off = 0 to occ - 1 do
-              let cand = (sl - off) mod ii in
-              let cand = if cand < 0 then cand + ii else cand in
-              S.remove s cp.cpvar cand
-            done)
-        copies
+    let cnt = bump (bus_cnt + sl) in
+    if cnt > nbuses then raise S.Conflict;
+    if cnt = nbuses then
+      for i = 0 to ncopies - 1 do
+        let cp = copies.(i) in
+        if asg.(cp.cpvar) < 0 then
+          for off = 0 to occ - 1 do
+            let cand = (sl - off) mod ii in
+            let cand = if cand < 0 then cand + ii else cand in
+            S.remove s cp.cpvar cand
+          done
+      done
   in
   let try_account_op o =
     if
-      (not op_accounted.(o))
-      && S.is_assigned s cvar.(o)
-      && S.is_assigned s svar.(o)
+      S.get s (op_accounted + o) = 0
+      && asg.(cvar.(o)) >= 0
+      && asg.(svar.(o)) >= 0
     then begin
-      op_accounted.(o) <- true;
-      S.post_undo s (fun () -> op_accounted.(o) <- false);
-      let c = S.value s cvar.(o) and sl = S.value s svar.(o) in
+      S.set s (op_accounted + o) 1;
+      let c = asg.(cvar.(o)) and sl = asg.(svar.(o)) in
       bump_fu ops_class.(o) c sl;
       bump_issue c sl
     end
   in
   let account_copy i =
     let cp = copies.(i) in
-    if
-      (not copy_accounted.(i))
-      && S.is_assigned s cp.cpvar
-      && S.value s cp.cpvar < absent
-    then begin
-      copy_accounted.(i) <- true;
-      S.post_undo s (fun () -> copy_accounted.(i) <- false);
-      let sl = S.value s cp.cpvar in
-      let c = S.value s cp.cuvar in
+    if S.get s (copy_accounted + i) = 0 && placed cp then begin
+      S.set s (copy_accounted + i) 1;
+      let sl = asg.(cp.cpvar) in
+      let c = asg.(cp.cuvar) in
       assert (c >= 0);
       bump_issue c sl;
       for w = 0 to occ - 1 do
@@ -287,122 +298,118 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     end
   in
   let activate i =
-    if not copy_active.(i) then begin
+    if S.get s (copy_active + i) = 0 then begin
       let cp = copies.(i) in
-      copy_active.(i) <- true;
-      S.post_undo s (fun () -> copy_active.(i) <- false);
-      incr active_copies;
-      S.post_undo s (fun () -> decr active_copies);
-      if !active_copies * occ > nbuses * ii then raise S.Conflict;
-      let c = S.value s cp.cuvar in
-      copies_from.(c) <- copies_from.(c) + 1;
-      S.post_undo s (fun () -> copies_from.(c) <- copies_from.(c) - 1);
-      if ops_in.(c) + copies_from.(c) > width * ii then raise S.Conflict;
+      S.set s (copy_active + i) 1;
+      if bump active_copies * occ > nbuses * ii then raise S.Conflict;
+      let c = asg.(cp.cuvar) in
+      if S.get s (ops_in + c) + bump (copies_from + c) > width * ii then
+        raise S.Conflict;
       check_residuals ();
       S.remove s cp.cpvar absent
     end
   in
   let update_activity i =
     let cp = copies.(i) in
-    let all_assigned =
-      List.for_all (fun (w, _) -> S.is_assigned s cvar.(w)) cp.consumers
-    in
-    let some_in_d =
-      List.exists (fun (w, _) -> S.value s cvar.(w) = cp.cd) cp.consumers
-    in
-    if S.is_assigned s cp.cuvar then begin
-      let cu = S.value s cp.cuvar in
+    let all_assigned = ref true and some_in_d = ref false in
+    for j = 0 to Array.length cp.consumers - 1 do
+      let c = asg.(cvar.(cp.consumers.(j))) in
+      if c < 0 then all_assigned := false
+      else if c = cp.cd then some_in_d := true
+    done;
+    let cu = asg.(cp.cuvar) in
+    if cu >= 0 then begin
       if cu = cp.cd then S.assign s cp.cpvar absent
-      else if some_in_d then activate i
-      else if all_assigned then S.assign s cp.cpvar absent
+      else if !some_in_d then activate i
+      else if !all_assigned then S.assign s cp.cpvar absent
     end
-    else if all_assigned && not some_in_d then S.assign s cp.cpvar absent
+    else if !all_assigned && not !some_in_d then S.assign s cp.cpvar absent
   in
   let cluster_assigned v =
-    let c = S.value s v in
-    List.iter
-      (fun o ->
-        let k = ops_class.(o) in
-        ops_in.(c) <- ops_in.(c) + 1;
-        class_in.(k).(c) <- class_in.(k).(c) + 1;
-        un_class.(k) <- un_class.(k) - 1;
-        decr un_ops;
-        S.post_undo s (fun () ->
-            ops_in.(c) <- ops_in.(c) - 1;
-            class_in.(k).(c) <- class_in.(k).(c) + (-1);
-            un_class.(k) <- un_class.(k) + 1;
-            incr un_ops))
-      var_ops.(v);
-    for k = 0 to 2 do
-      if class_in.(k).(c) > cap.(k) * ii then raise S.Conflict
+    let c = asg.(v) and os = var_ops.(v) in
+    for j = 0 to Array.length os - 1 do
+      ignore (bump (ops_in + c));
+      ignore (bump (class_in + (ops_class.(os.(j)) * nc) + c))
     done;
-    if ops_in.(c) + copies_from.(c) > width * ii then raise S.Conflict;
+    for k = 0 to 2 do
+      if S.get s (class_in + (k * nc) + c) > cap.(k) * ii then raise S.Conflict
+    done;
+    if S.get s (ops_in + c) + S.get s (copies_from + c) > width * ii then
+      raise S.Conflict;
     check_residuals ();
-    List.iter try_account_op var_ops.(v);
-    List.iter update_activity copies_of_cv.(v)
+    Array.iter try_account_op os;
+    Array.iter update_activity copies_of_cv.(v)
   in
   (* Positive-cycle check of the k-difference system restricted to one
      recurrence.  Edges whose cluster form is still open are skipped
      (sound: fewer constraints); unassigned slots use the best-case
      bound s_a - s_b >= -(ii-1), so a reported cycle is a genuine
-     infeasibility even mid-search and exact on full assignments. *)
+     infeasibility even mid-search and exact on full assignments.  The
+     graph is built in [ea]/[eb]/[ew] (one node per member, plus one per
+     cross-cluster flow edge's copy), [top] holding the edge count, the
+     node count and whether some weight is positive. *)
+  let max_edges =
+    Array.fold_left (fun acc es -> max acc (Array.length es)) 0 rec_edges
+  in
+  let ea = Array.make (2 * max_edges) 0 in
+  let eb = Array.make (2 * max_edges) 0 in
+  let ew = Array.make (2 * max_edges) 0 in
+  let dist = Array.make (n + max_edges) 0 in
+  let top = Array.make 3 0 in
+  let add a b l d sa sb =
+    let lo = (if sa >= 0 then sa else 0) - if sb >= 0 then sb else ii - 1 in
+    let w = ceil_div (l - (ii * d) + lo) ii in
+    let k = top.(0) in
+    ea.(k) <- a;
+    eb.(k) <- b;
+    ew.(k) <- w;
+    top.(0) <- k + 1;
+    if w > 0 then top.(2) <- 1
+  in
   let check_rec r =
-    let idx = rec_idx.(r) in
-    let m = Array.length rec_members.(r) in
-    let edges = ref [] and nnodes = ref m and positive = ref false in
-    let slot o = if S.is_assigned s svar.(o) then S.value s svar.(o) else -1 in
-    let weight l d sa sb =
-      let lo = (if sa >= 0 then sa else 0) - (if sb >= 0 then sb else ii - 1) in
-      ceil_div (l - (ii * d) + lo) ii
-    in
-    let add a b w =
-      if w > 0 then positive := true;
-      edges := (a, b, w) :: !edges
-    in
-    List.iter
-      (fun (e : Edge.t) ->
-        let a = e.Edge.src and b = e.Edge.dst and d = e.Edge.distance in
-        let ca = S.value s cvar.(a) and cb = S.value s cvar.(b) in
-        let direct l = add idx.(a) idx.(b) (weight l d (slot a) (slot b)) in
-        match e.Edge.kind with
-        | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out | Edge.Mem_unresolved
-          ->
-            direct 1
-        | Edge.Reg_anti -> if ca >= 0 && ca = cb then direct 0
-        | Edge.Reg_out -> if ca >= 0 && ca = cb then direct 1
-        | Edge.Reg_flow ->
-            if ca >= 0 && cb >= 0 then
-              if ca = cb then direct (latency a)
-              else begin
-                let i = copy_idx.((a * nc) + cb) in
-                let cp = copies.(i) in
-                let scp =
-                  if S.is_assigned s cp.cpvar && S.value s cp.cpvar < absent
-                  then S.value s cp.cpvar
-                  else -1
-                in
-                let nid = !nnodes in
-                incr nnodes;
-                add idx.(a) nid (weight (latency a) 0 (slot a) scp);
-                add nid idx.(b) (weight copy_lat d scp (slot b))
-              end)
-      rec_edges.(r);
-    if !positive then begin
-      let nn = !nnodes in
-      let dist = Array.make nn 0 in
-      let es = !edges in
-      let relax () =
-        List.fold_left
-          (fun changed (a, b, w) ->
-            if dist.(a) + w > dist.(b) then begin
-              dist.(b) <- dist.(a) + w;
-              true
+    let idx = rec_idx.(r) and es = rec_edges.(r) in
+    top.(0) <- 0;
+    top.(1) <- Array.length rec_members.(r);
+    top.(2) <- 0;
+    for j = 0 to Array.length es - 1 do
+      let e = es.(j) in
+      let a = e.Edge.src and b = e.Edge.dst and d = e.Edge.distance in
+      let ca = asg.(cvar.(a)) and cb = asg.(cvar.(b)) in
+      let sa = asg.(svar.(a)) and sb = asg.(svar.(b)) in
+      match e.Edge.kind with
+      | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out | Edge.Mem_unresolved ->
+          add idx.(a) idx.(b) 1 d sa sb
+      | Edge.Reg_anti -> if ca >= 0 && ca = cb then add idx.(a) idx.(b) 0 d sa sb
+      | Edge.Reg_out -> if ca >= 0 && ca = cb then add idx.(a) idx.(b) 1 d sa sb
+      | Edge.Reg_flow ->
+          if ca >= 0 && cb >= 0 then
+            if ca = cb then add idx.(a) idx.(b) (latency a) d sa sb
+            else begin
+              let cp = copies.(copy_idx.((a * nc) + cb)) in
+              let scp = if placed cp then asg.(cp.cpvar) else -1 in
+              let nid = top.(1) in
+              top.(1) <- nid + 1;
+              add idx.(a) nid (latency a) 0 sa scp;
+              add nid idx.(b) copy_lat d scp sb
             end
-            else changed)
-          false es
-      in
-      let rec go pass = if pass > nn then true else relax () && go (pass + 1) in
-      if go 0 then raise S.Conflict
+    done;
+    if top.(2) = 1 then begin
+      (* a positive cycle keeps every one of nn+1 passes changing *)
+      let ne = top.(0) and nn = top.(1) in
+      Array.fill dist 0 nn 0;
+      let changed = ref true and pass = ref 0 in
+      while !changed && !pass <= nn do
+        changed := false;
+        for k = 0 to ne - 1 do
+          let w = dist.(ea.(k)) + ew.(k) in
+          if w > dist.(eb.(k)) then begin
+            dist.(eb.(k)) <- w;
+            changed := true
+          end
+        done;
+        incr pass
+      done;
+      if !changed then raise S.Conflict
     end
   in
   (* Canonical earliest-start realization of a total assignment: resolve
@@ -414,7 +421,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     let cp_node = Array.make (max 1 ncopies) (-1) in
     Array.iteri
       (fun i cp ->
-        if S.is_assigned s cp.cpvar && S.value s cp.cpvar < absent then begin
+        if placed cp then begin
           cp_node.(i) <- n + !nactive;
           incr nactive
         end)
@@ -422,11 +429,10 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     let total = n + !nactive in
     let slot_of = Array.make total 0 in
     for o = 0 to n - 1 do
-      slot_of.(o) <- S.value s svar.(o)
+      slot_of.(o) <- asg.(svar.(o))
     done;
     Array.iteri
-      (fun i cp ->
-        if cp_node.(i) >= 0 then slot_of.(cp_node.(i)) <- S.value s cp.cpvar)
+      (fun i cp -> if cp_node.(i) >= 0 then slot_of.(cp_node.(i)) <- asg.(cp.cpvar))
       copies;
     let edges = ref [] in
     let add a b l d =
@@ -437,7 +443,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     List.iter
       (fun (e : Edge.t) ->
         let a = e.Edge.src and b = e.Edge.dst and d = e.Edge.distance in
-        let ca = S.value s cvar.(a) and cb = S.value s cvar.(b) in
+        let ca = asg.(cvar.(a)) and cb = asg.(cvar.(b)) in
         match e.Edge.kind with
         | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out | Edge.Mem_unresolved
           ->
@@ -471,7 +477,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     let shift = mn / ii * ii in
     let cluster = Array.make n 0 and start = Array.make n 0 in
     for o = 0 to n - 1 do
-      cluster.(o) <- S.value s cvar.(o);
+      cluster.(o) <- asg.(cvar.(o));
       start.(o) <- t.(o) - shift
     done;
     let cps = ref [] in
@@ -481,7 +487,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
         cps :=
           {
             Schedule.src_op = cp.cu;
-            from_cluster = S.value s cp.cuvar;
+            from_cluster = asg.(cp.cuvar);
             to_cluster = cp.cd;
             start = t.(cp_node.(i)) - shift;
           }
@@ -495,10 +501,10 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     | 0 -> cluster_assigned v
     | 1 -> try_account_op var_obj.(v)
     | _ -> account_copy var_obj.(v));
-    List.iter check_rec recs_of_var.(v)
+    Array.iter check_rec recs_of_var.(v)
   in
   S.on_assign s on_var;
-  (* --- decision order and value orders --------------------------- *)
+  (* --- decision order and value bounds --------------------------- *)
   let anchor = ref (-1) in
   let order =
     let seen = Array.make nvars false in
@@ -516,7 +522,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     List.iter push
       (List.sort
          (fun a b ->
-           let la = List.length var_ops.(a) and lb = List.length var_ops.(b) in
+           let la = Array.length var_ops.(a) and lb = Array.length var_ops.(b) in
            if la <> lb then compare lb la else compare a b)
          rest);
     Array.iter (fun members -> Array.iter (fun o -> push svar.(o)) members)
@@ -527,35 +533,27 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     Array.iter (fun cp -> push cp.cpvar) copies;
     Array.of_list (List.rev !out)
   in
+  let anchor = !anchor in
+  let cluster_vars = Array.of_list cluster_vars in
   let nothing_placed () =
-    let ok = ref true in
-    for o = 0 to n - 1 do
-      if S.is_assigned s svar.(o) then ok := false
-    done;
-    Array.iter
-      (fun cp ->
-        if S.is_assigned s cp.cpvar && S.value s cp.cpvar < absent then
-          ok := false)
-      copies;
-    !ok
+    let rec ops o = o >= n || (asg.(svar.(o)) < 0 && ops (o + 1)) in
+    let rec cps i = i >= ncopies || ((not (placed copies.(i))) && cps (i + 1)) in
+    ops 0 && cps 0
   in
   let values v =
     match var_kind.(v) with
     | 0 ->
         (* value symmetry: clusters are interchangeable, so the next
            undecided variable need only try used labels plus one *)
-        let mx =
-          List.fold_left
-            (fun acc w ->
-              if S.is_assigned s w then max acc (S.value s w) else acc)
-            (-1) cluster_vars
-        in
-        List.init (min nc (mx + 2)) (fun i -> i)
+        let mx = ref (-1) in
+        for j = 0 to Array.length cluster_vars - 1 do
+          if asg.(cluster_vars.(j)) > !mx then mx := asg.(cluster_vars.(j))
+        done;
+        if !mx + 2 < nc then !mx + 2 else nc
     | 1 ->
         (* shift symmetry: pin the first placement to slot 0 *)
-        if v = !anchor && nothing_placed () then [ 0 ]
-        else List.init ii (fun i -> i)
-    | _ -> List.init (ii + 1) (fun i -> i)
+        if v = anchor && nothing_placed () then 1 else ii
+    | _ -> ii + 1
   in
   let result, stats =
     S.solve s ~values ~order ~max_decisions:budget ~max_conflicts:budget ()

@@ -165,6 +165,47 @@ let test_certify_deterministic () =
   in
   Alcotest.(check bool) "identical reruns" true (run () = run ())
 
+(* The search allocates almost nothing per decision: trail, queue and
+   counters are int arrays, candidates are value bounds.  Certifying
+   rasta/filterbank as explain does (IPBC, seed 7: 4,304 decisions)
+   must stay under 100 minor words per decision, witness realization
+   and verification included. *)
+let test_oracle_allocation () =
+  let module WL = Vliw_workloads in
+  let module Pipeline = Vliw_core.Pipeline in
+  let bench = WL.Mediabench.find "rasta" in
+  let layout =
+    WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Profile_run ~seed:7
+  in
+  let profiler =
+    WL.Profiling.memoized ~memo:(WL.Profiling.table_memo ()) cfg layout
+  in
+  let index, loop =
+    List.find
+      (fun (_, l) -> l.Loop.name = "filterbank")
+      (List.mapi (fun i l -> (i, l)) (WL.Benchspec.loops bench))
+  in
+  let target = Pipeline.Interleaved { heuristic = `Ipbc; chains = true } in
+  let c =
+    Pipeline.compile cfg ~target ~strategy:Vliw_core.Unroll_select.Selective
+      ~profiler:(profiler ~index loop) loop
+  in
+  let hii = (Vliw_analysis.Attribution.attribute cfg c).Vliw_analysis.Attribution.ii in
+  let latencies = c.Pipeline.latencies in
+  let before = Gc.minor_words () in
+  let cert =
+    Oracle.certify cfg c.Pipeline.loop.Loop.ddg
+      ~latency:(fun i -> latencies.(i))
+      ~allow_cross_cluster_mem:(Pipeline.allow_cross_cluster_mem target)
+      ~heuristic_ii:hii ()
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "decisions" 4304 cert.Oracle.decisions;
+  let per = words /. float cert.Oracle.decisions in
+  if per >= 100. then
+    Alcotest.failf "%.1f minor words per decision (%d decisions)" per
+      cert.Oracle.decisions
+
 (* ------------------------------------------------------ properties *)
 
 (* Random loops: forward register edges at distance 0, loop-carried
@@ -404,6 +445,8 @@ let suite =
       test_cross_cluster_gap;
     Alcotest.test_case "oracle: deterministic reruns" `Quick
       test_certify_deterministic;
+    Alcotest.test_case "oracle: < 100 minor words per decision" `Quick
+      test_oracle_allocation;
     Alcotest.test_case "leaderboard: byte-identical across --jobs" `Quick
       test_leaderboard_deterministic;
     Alcotest.test_case "leaderboard: unknown(budget) carries partial result"

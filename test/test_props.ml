@@ -1081,17 +1081,16 @@ let solve_csp_new p =
   let module S = Cpsolver in
   let s = S.create () in
   let vars = Array.map (fun size -> S.new_var s ~size) p.sizes in
-  let count = ref 0 in
+  let count = S.new_cells s 1 in
   let bump d =
-    count := !count + d;
-    S.post_undo s (fun () -> count := !count - d);
-    !count
+    S.set s count (S.get s count + d);
+    S.get s count
   in
   S.on_assign s
     (csp_watcher p ~value:(S.value s) ~remove:(S.remove s) ~bump
        ~conflict:(fun () -> raise S.Conflict)
        vars);
-  let values = Option.map (fun b v -> List.init b.(v) Fun.id) p.bounds in
+  let values = Option.map (fun b v -> b.(v)) p.bounds in
   let r, st =
     S.solve s ?values ~order:p.order ~max_decisions:p.csp_budget
       ~max_conflicts:p.csp_budget ()
