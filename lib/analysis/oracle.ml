@@ -346,8 +346,10 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
      bound s_a - s_b >= -(ii-1), so a reported cycle is a genuine
      infeasibility even mid-search and exact on full assignments.  The
      graph is built in [ea]/[eb]/[ew] (one node per member, plus one per
-     cross-cluster flow edge's copy), [top] holding the edge count, the
-     node count and whether some weight is positive. *)
+     cross-cluster flow edge's copy), [top] holding the edge and node
+     counts.  A positive cycle keeps every one of nn+1 Bellman–Ford
+     passes changing; without one, a pass changes nothing by the nn-th,
+     whatever the edge order. *)
   let max_edges =
     Array.fold_left (fun acc es -> max acc (Array.length es)) 0 rec_edges
   in
@@ -355,7 +357,7 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
   let eb = Array.make (2 * max_edges) 0 in
   let ew = Array.make (2 * max_edges) 0 in
   let dist = Array.make (n + max_edges) 0 in
-  let top = Array.make 3 0 in
+  let top = Array.make 2 0 in
   let add a b l d sa sb =
     let lo = (if sa >= 0 then sa else 0) - if sb >= 0 then sb else ii - 1 in
     let w = ceil_div (l - (ii * d) + lo) ii in
@@ -363,14 +365,12 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
     ea.(k) <- a;
     eb.(k) <- b;
     ew.(k) <- w;
-    top.(0) <- k + 1;
-    if w > 0 then top.(2) <- 1
+    top.(0) <- k + 1
   in
   let check_rec r =
     let idx = rec_idx.(r) and es = rec_edges.(r) in
     top.(0) <- 0;
     top.(1) <- Array.length rec_members.(r);
-    top.(2) <- 0;
     for j = 0 to Array.length es - 1 do
       let e = es.(j) in
       let a = e.Edge.src and b = e.Edge.dst and d = e.Edge.distance in
@@ -393,24 +393,21 @@ let decide cfg ddg ~latency ?(allow_cross_cluster_mem = false) ~ii ~budget () =
               add nid idx.(b) copy_lat d scp sb
             end
     done;
-    if top.(2) = 1 then begin
-      (* a positive cycle keeps every one of nn+1 passes changing *)
-      let ne = top.(0) and nn = top.(1) in
-      Array.fill dist 0 nn 0;
-      let changed = ref true and pass = ref 0 in
-      while !changed && !pass <= nn do
-        changed := false;
-        for k = 0 to ne - 1 do
-          let w = dist.(ea.(k)) + ew.(k) in
-          if w > dist.(eb.(k)) then begin
-            dist.(eb.(k)) <- w;
-            changed := true
-          end
-        done;
-        incr pass
+    let ne = top.(0) and nn = top.(1) in
+    Array.fill dist 0 nn 0;
+    let changed = ref true and pass = ref 0 in
+    while !changed && !pass <= nn do
+      changed := false;
+      for k = 0 to ne - 1 do
+        let w = dist.(ea.(k)) + ew.(k) in
+        if w > dist.(eb.(k)) then begin
+          dist.(eb.(k)) <- w;
+          changed := true
+        end
       done;
-      if !changed then raise S.Conflict
-    end
+      incr pass
+    done;
+    if !changed then raise S.Conflict
   in
   (* Canonical earliest-start realization of a total assignment: resolve
      each op's iteration offset k via longest paths in the exact

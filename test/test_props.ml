@@ -1021,8 +1021,8 @@ let prop_oracle_matches_spec =
 (* One random CSP posted to both solvers through the same watcher:
    all-different over a subset of the variables, forbidden value pairs,
    and a trailed capacity counter on the variables that take a value
-   at or below [heavy].  [bump d] adds [d] to the counter and answers
-   the new count. *)
+   at or below [heavy], with a pruning rule that depends on the count.
+   [bump d] adds [d] to the counter and answers the new count. *)
 type csp = {
   sizes : int array;
   distinct : bool array;
@@ -1075,7 +1075,14 @@ let csp_watcher p ~value ~remove ~bump ~conflict vars v =
       if a = v && xa = x then remove vars.(b) xb;
       if b = v && xb = x then remove vars.(a) xa)
     p.forbidden;
-  if x <= p.heavy && bump 1 > p.capacity then conflict ()
+  if x <= p.heavy then begin
+    let count = bump 1 in
+    if count > p.capacity then conflict ();
+    (* The k-th heavy variable handled prunes value k from its
+       successor, so the result depends on the order in which
+       propagation handles events. *)
+    remove vars.((v + 1) mod Array.length vars) count
+  end
 
 let solve_csp_new p =
   let module S = Cpsolver in
