@@ -970,8 +970,9 @@ module Oracle = Vliw_analysis.Oracle
 (* The exact oracle against the list-trail solver and closure-trailed
    encoder of test/oracle_spec.ml, on random loops and machines: an II
    from the certified floor to the heuristic II, budgets from 1 to
-   30,000 so that some probes exhaust, memory chains split or not.  The two must visit the same tree: same result, same
-   decision and conflict counts, same witness schedule. *)
+   30,000 so that some probes exhaust, memory chains split or not.  The
+   two must visit the same tree: same result, same decision and
+   conflict counts, same witness schedule. *)
 let prop_oracle_matches_spec =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"oracle search matches the spec"
