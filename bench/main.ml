@@ -298,8 +298,7 @@ let write_bench_json ~estimates =
     timed (fun bppf ->
         Explain.run_all ~benchmarks:oracle_bench_subset
           ~oracle_budget:Oracle.default_budget
-          ~oracle_memo:(E.Context.oracle_memo (E.Context.create ()))
-          bppf)
+          ~ctx:(E.Context.create ()) bppf)
   in
   let serve_wall, serve_rps, serve_p99, serve_outcome = timed_serve () in
   (* The concurrency sanitizer, end to end: record the pool/memo and

@@ -359,11 +359,10 @@ let explain_cmd =
       oracle || oracle_budget <> Vliw_analysis.Oracle.default_budget
       || csv <> None
     in
-    let ctx = E.Context.create () in
     let summary =
-      Vliw_analysis.Explain.run_all ?benchmarks:names ~json
+      Vliw_analysis.Explain.run_all ~ctx:(E.Context.create ())
+        ?benchmarks:names ~json
         ?oracle_budget:(if oracle then Some oracle_budget else None)
-        ~oracle_memo:(E.Context.oracle_memo ctx)
         ppf
     in
     let rows = summary.Vliw_analysis.Explain.leaderboard in

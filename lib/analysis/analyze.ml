@@ -4,7 +4,6 @@ module Loop = Vliw_ir.Loop
 module Pipeline = Vliw_core.Pipeline
 module Schedule = Vliw_sched.Schedule
 module Machine = Vliw_sim.Machine
-module Executor = Vliw_sim.Executor
 module Stats = Vliw_sim.Stats
 module WL = Vliw_workloads
 module Pool = Vliw_parallel.Pool
@@ -50,20 +49,15 @@ let install_check_hook () =
 
 (* ------------------------------------------------- benchmark sweeps *)
 
-(* Targets x backends of one benchmark cell matrix: the two interleaved
-   heuristics each simulate with and without attraction buffers; the
-   unified and multiVLIW targets have one backend each. *)
-let target_matrix =
-  [
-    ( Pipeline.Interleaved { heuristic = `Ipbc; chains = true },
+(* The backends each compile target simulates on: the interleaved
+   heuristics with and without attraction buffers; the unified and
+   multiVLIW targets have one backend each. *)
+let backends = function
+  | Pipeline.Interleaved _ ->
       [ Machine.Word_interleaved { attraction_buffers = true };
-        Machine.Word_interleaved { attraction_buffers = false } ] );
-    ( Pipeline.Interleaved { heuristic = `Ibc; chains = true },
-      [ Machine.Word_interleaved { attraction_buffers = true };
-        Machine.Word_interleaved { attraction_buffers = false } ] );
-    (Pipeline.Unified { slow = true }, [ Machine.Unified { slow = true } ]);
-    (Pipeline.Multivliw, [ Machine.Multivliw ]);
-  ]
+        Machine.Word_interleaved { attraction_buffers = false } ]
+  | Pipeline.Unified { slow } -> [ Machine.Unified { slow } ]
+  | Pipeline.Multivliw -> [ Machine.Multivliw ]
 
 type bench_result = {
   name : string;
@@ -72,81 +66,72 @@ type bench_result = {
   diags : D.t list;
 }
 
-let analyze_bench cfg ~seed (bench : WL.Benchspec.t) =
-  let profile_layout =
-    WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Profile_run ~seed
-  in
+let analyze_bench ctx (bench : WL.Benchspec.t) =
+  let cfg = Context.cfg ctx in
   let exec_layout =
-    WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Execution_run ~seed
-  in
-  (* One profile table for the benchmark, shared by every target: a
-     profile does not depend on the target. *)
-  let profiler =
-    WL.Profiling.memoized ~memo:(WL.Profiling.table_memo ()) cfg profile_layout
+    WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Execution_run
+      ~seed:(Context.seed ctx)
   in
   let diags = ref [] in
   let loops = ref 0 in
   let cells = ref 0 in
   let emit ds = diags := List.rev_append ds !diags in
   List.iter
-    (fun (target, archs) ->
-      let compiled =
-        List.mapi
-          (fun index loop ->
-            Pipeline.compile cfg ~target
-              ~strategy:Vliw_core.Unroll_select.Selective
-              ~profiler:(profiler ~index loop) loop)
-          (WL.Benchspec.loops bench)
+    (fun target ->
+      (* One batch per target: every backend of the target simulates
+         over a single traversal of each loop's address trace. *)
+      let archs = backends target in
+      let per_loop, traffic =
+        Context.run_batch_loops ctx bench
+          { Context.target; strategy = Vliw_core.Unroll_select.Selective;
+            aligned = true }
+          (List.map (fun arch -> Context.cell arch) archs)
       in
-      (* Static locality bounds, per compiled loop: computed once here,
-         cross-checked against the dynamic stats of every interleaved
-         backend cell below. *)
-      let compiled =
+      let per_loop =
         List.map
-          (fun (c : Pipeline.compiled) ->
+          (fun ((c : Pipeline.compiled), stats) ->
+            incr loops;
+            let where =
+              Printf.sprintf "%s/%s[%s]" bench.WL.Benchspec.name
+                c.Pipeline.source.Loop.name
+                (Pipeline.target_to_string target)
+            in
+            (* Static locality bounds: cross-checked below against the
+               dynamic stats of every interleaved backend cell. *)
             let bounds =
               match target with
               | Pipeline.Interleaved _ ->
                   Some (Locality.analyze cfg exec_layout c)
               | Pipeline.Unified _ | Pipeline.Multivliw -> None
             in
-            (c, bounds))
-          compiled
+            (* Source DDG under default latencies, compiled (unrolled) DDG
+               under the assigned latencies. *)
+            emit (Lint_ddg.lint ~where:(where ^ "/src") c.Pipeline.source.Loop.ddg);
+            emit
+              (Lint_ddg.lint
+                 ~latency:(fun i -> c.Pipeline.latencies.(i))
+                 ~where c.Pipeline.loop.Loop.ddg);
+            emit
+              (Verify_schedule.verify cfg c.Pipeline.loop.Loop.ddg
+                 ~latency:(fun i -> c.Pipeline.latencies.(i))
+                 ~allow_cross_cluster_mem:
+                   (Pipeline.allow_cross_cluster_mem target)
+                 ~where c.Pipeline.schedule);
+            emit (Audit_sim.audit_addr_plan exec_layout c.Pipeline.loop.Loop.ddg ~where ());
+            emit [ Attribution.summary_diag ~report:(Attribution.attribute cfg c) ~where ];
+            emit (Attribution.missed_locality cfg exec_layout ~where c);
+            Option.iter
+              (fun b -> emit [ Locality.summary_diag ~bounds:b ~where ])
+              bounds;
+            (c, bounds, stats))
+          per_loop
       in
-      List.iter
-        (fun ((c : Pipeline.compiled), bounds) ->
-          incr loops;
-          let where =
-            Printf.sprintf "%s/%s[%s]" bench.WL.Benchspec.name
-              c.Pipeline.source.Loop.name
-              (Pipeline.target_to_string target)
-          in
-          (* Source DDG under default latencies, compiled (unrolled) DDG
-             under the assigned latencies. *)
-          emit (Lint_ddg.lint ~where:(where ^ "/src") c.Pipeline.source.Loop.ddg);
-          emit
-            (Lint_ddg.lint
-               ~latency:(fun i -> c.Pipeline.latencies.(i))
-               ~where c.Pipeline.loop.Loop.ddg);
-          emit
-            (Verify_schedule.verify cfg c.Pipeline.loop.Loop.ddg
-               ~latency:(fun i -> c.Pipeline.latencies.(i))
-               ~allow_cross_cluster_mem:
-                 (Pipeline.allow_cross_cluster_mem target)
-               ~where c.Pipeline.schedule);
-          emit (Audit_sim.audit_addr_plan exec_layout c.Pipeline.loop.Loop.ddg ~where ());
-          emit [ Attribution.summary_diag ~report:(Attribution.attribute cfg c) ~where ];
-          emit (Attribution.missed_locality cfg exec_layout ~where c);
-          Option.iter
-            (fun b -> emit [ Locality.summary_diag ~bounds:b ~where ])
-            bounds)
-        compiled;
       (* Widest element of this target's access stream, in interleaving
          units — the traffic laws are exact only for single-part
          elements (see {!Audit_sim.audit_traffic}). *)
       let max_parts =
         List.fold_left
-          (fun acc ((c : Pipeline.compiled), _) ->
+          (fun acc ((c : Pipeline.compiled), _, _) ->
             List.fold_left
               (fun acc op ->
                 match (Ddg.op c.Pipeline.loop.Loop.ddg op).Vliw_ir.Operation.mem
@@ -159,23 +144,21 @@ let analyze_bench cfg ~seed (bench : WL.Benchspec.t) =
                       / cfg.Config.interleaving_factor))
               acc
               (Ddg.memory_ops c.Pipeline.loop.Loop.ddg))
-          1 compiled
+          1 per_loop
       in
-      List.iter
-        (fun arch ->
+      List.iteri
+        (fun j (arch, traffic) ->
           incr cells;
           let where =
             Printf.sprintf "%s[%s->%s]" bench.WL.Benchspec.name
               (Pipeline.target_to_string target)
               (Machine.arch_to_string arch)
           in
-          let machine = Machine.create cfg arch in
           let agg = Stats.create () in
           List.iter
-            (fun ((c : Pipeline.compiled), bounds) ->
+            (fun ((c : Pipeline.compiled), bounds, cell_stats) ->
+              let stats = List.nth cell_stats j in
               let ddg = c.Pipeline.loop.Loop.ddg in
-              let addr_of = WL.Layout.addr_fn exec_layout ddg in
-              let stats = Executor.run_loop cfg machine c ~addr_of () in
               let loop_where =
                 Printf.sprintf "%s/%s" where c.Pipeline.source.Loop.name
               in
@@ -195,13 +178,12 @@ let analyze_bench cfg ~seed (bench : WL.Benchspec.t) =
                        ~stats ~where:loop_where)
               | _ -> ());
               Stats.accumulate ~into:agg stats)
-            compiled;
+            per_loop;
           emit
-            (Audit_sim.audit_traffic ~arch ~stats:agg
-               ~traffic:(Machine.traffic_summary machine)
-               ~max_parts ~where ()))
-        archs)
-    target_matrix;
+            (Audit_sim.audit_traffic ~arch ~stats:agg ~traffic ~max_parts
+               ~where ()))
+        (List.combine archs traffic))
+    Explain.targets;
   {
     name = bench.WL.Benchspec.name;
     b_loops = !loops;
@@ -242,17 +224,17 @@ let print_json ppf ~verbose ~config_diags ~results ~all_diags summary =
             ("diagnostics", List (List.map D.to_json diags));
           ]))
 
-let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks
-    ?(verbose = false) ?(json = false) ppf =
+let run_all ?ctx ?seed ?benchmarks ?(verbose = false) ?(json = false) ppf =
+  if Option.is_some ctx && Option.is_some seed then
+    invalid_arg "Analyze.run_all: both ~ctx and ~seed";
+  let ctx = match ctx with Some c -> c | None -> Context.create ?seed () in
   let benches =
     match benchmarks with
     | None -> WL.Mediabench.all
     | Some names -> List.map WL.Mediabench.find names
   in
-  let config_diags = Check_config.check cfg in
-  let results =
-    Pool.map_ordered (fun b -> analyze_bench cfg ~seed b) benches
-  in
+  let config_diags = Check_config.check (Context.cfg ctx) in
+  let results = Pool.map_ordered (analyze_bench ctx) benches in
   let all_diags =
     config_diags @ List.concat_map (fun r -> r.diags) results
   in

@@ -42,8 +42,9 @@ val audit_stats :
   ?where:string ->
   Vliw_sim.Stats.t ->
   Diagnostic.t list
-(** Per-loop conservation laws over one {!Vliw_sim.Executor.run_loop}
-    result. *)
+(** Per-loop conservation laws over one loop's statistics on one
+    backend: a cell of {!Context.run_batch_loops}, or equally a
+    {!Vliw_sim.Executor.run_loop} result. *)
 
 val audit_traffic :
   arch:Vliw_sim.Machine.arch ->
@@ -55,7 +56,8 @@ val audit_traffic :
   Diagnostic.t list
 (** Traffic-balance laws.  [stats] must aggregate *every* access the
     machine behind [traffic] ever served (fresh machine, all loops
-    accumulated), otherwise the balances do not close.
+    accumulated — one cell of {!Context.run_batch_loops}), otherwise the
+    balances do not close.
 
     [max_parts] (default 1) is the widest element in the access stream,
     in interleaving units: [ceil (granularity / interleaving_factor)]

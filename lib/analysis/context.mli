@@ -1,5 +1,7 @@
-(** Shared machinery for the experiment drivers: compilation caching and
-    the benchmark -> statistics runner.
+(** Shared machinery for the experiment, analyze and explain drivers and
+    the resident service: compilation caching and the benchmark ->
+    statistics runner, the one place in [lib/] that compiles or builds a
+    machine.  [Vliw_experiments.Context] re-exports it.
 
     Every figure reuses compilations of the same (benchmark, target,
     unroll strategy, alignment) combination, so compiled loops are
@@ -23,10 +25,11 @@
     above any single figure's working set.  Eviction only costs a
     recompute, never a result.
 
-    Every simulation goes through {!run_batch}: the executor traverses
-    the plan once and dispatches each resolved address to every cell,
-    which is where the fig6 / traffic / AB-size sweeps get their
-    wall-clock win, and {!run} is the one-cell case.  Batching happens
+    Every simulation goes through {!run_batch_loops}: the executor
+    traverses the plan once and dispatches each resolved address to every
+    cell, which is where the fig6 / traffic / AB-size sweeps and
+    [analyze]'s AB on/off pairs get their wall-clock win; {!run_batch} is
+    its aggregate and {!run} the one-cell case.  Batching happens
     inside the calling worker domain; drivers parallelize across plans
     via {!Vliw_parallel.Pool}. *)
 
@@ -36,6 +39,9 @@ val create : ?cfg:Vliw_arch.Config.t -> ?seed:int -> unit -> t
 (** [cfg] defaults to {!Vliw_arch.Config.default}, [seed] to 7. *)
 
 val cfg : t -> Vliw_arch.Config.t
+
+val seed : t -> int
+(** The seed of every layout the context profiles and simulates with. *)
 
 val with_cfg : t -> Vliw_arch.Config.t -> t
 (** A sibling context for another machine configuration $(b,sharing)
@@ -51,10 +57,10 @@ val memo_stats : t -> (string * Vliw_parallel.Memo.stats) list
 val oracle_memo :
   t ->
   string ->
-  (unit -> Vliw_analysis.Oracle.certification) ->
-  Vliw_analysis.Oracle.certification
-(** Single-flight memo for exact-II certifications, for threading into
-    {!Vliw_analysis.Explain.run_all} as its [oracle_memo] — a given
+  (unit -> Oracle.certification) ->
+  Oracle.certification
+(** Single-flight memo for exact-II certifications, {!Explain.run_all}'s
+    default [oracle_memo] — a given
     (bench, loop, target, seed, budget, config) key is searched at most
     once per process regardless of [--jobs].  The key is built by the
     explain driver and already embeds the config fingerprint. *)
@@ -110,18 +116,21 @@ val cell :
   cell
 (** Convenience constructor; [hints] defaults to [false]. *)
 
-val run_batch :
+val run_batch_loops :
   t ->
   Vliw_workloads.Benchspec.t ->
   spec ->
   ?trip_cap:int ->
   cell list ->
-  (Vliw_sim.Stats.t * (string * int) list) list
+  (Vliw_core.Pipeline.compiled * Vliw_sim.Stats.t list) list
+  * (string * int) list list
 (** Compile the benchmark once, then simulate every cell in lockstep
     over a single traversal of each loop's access plan
-    ({!Vliw_sim.Executor.run_loop_batched}).  Returns per-cell
-    aggregated statistics and traffic counters, in cell order — each
-    bit-identical to the same cell run as a one-cell batch.
+    ({!Vliw_sim.Executor.run_loop_batched}).  Returns, for each compiled
+    loop, the statistics of every cell, and each cell's traffic counters
+    ({!Vliw_sim.Machine.traffic_summary}) after the last loop, both in
+    cell order — each bit-identical to the same cell run as a one-cell
+    batch.  Each call looks the compile up in the memo once.
 
     @raise Invalid_argument if a cell's full configuration fails
     {!Vliw_arch.Config.validate} or disagrees with the context's on
@@ -133,16 +142,15 @@ val run_batch :
     counting source iterations keeps differently-unrolled plans
     simulating the same work. *)
 
-val run_batch_loops :
+val run_batch :
   t ->
   Vliw_workloads.Benchspec.t ->
   spec ->
   ?trip_cap:int ->
   cell list ->
-  (Vliw_core.Pipeline.compiled * Vliw_sim.Stats.t list) list
-(** Per-loop variant of {!run_batch}: for each compiled loop, the
-    statistics of every cell (cell order), for drivers that break
-    results down by loop. *)
+  (Vliw_sim.Stats.t * (string * int) list) list
+(** {!run_batch_loops} aggregated over the loops: per-cell statistics
+    and traffic counters, in cell order. *)
 
 val run :
   t ->
@@ -153,7 +161,7 @@ val run :
   Vliw_sim.Stats.t
 (** Compile and execute the whole benchmark on one memory system under
     the context's configuration, aggregating loop statistics: the
-    aggregate of the one-cell {!run_batch} [[cell arch]].  AB-capacity
+    one-cell {!run_batch} [[cell arch]].  AB-capacity
     overrides and attractable hints are {!cell} fields of
     {!run_batch}. *)
 

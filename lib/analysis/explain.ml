@@ -44,8 +44,6 @@ type summary = {
    the floor proven so far) is distinguishable from "not attempted". *)
 let schema_version = 3
 
-(* The compile targets of the [analyze] matrix (the simulation backends
-   are irrelevant here — explain never simulates). *)
 let targets =
   [
     Pipeline.Interleaved { heuristic = `Ipbc; chains = true };
@@ -54,29 +52,22 @@ let targets =
     Pipeline.Multivliw;
   ]
 
-let explain_bench cfg ~seed ?oracle_budget
-    ?(oracle_memo = fun (_ : string) f -> f ())
+let explain_bench ctx ?oracle_budget ?(oracle_memo = Context.oracle_memo ctx)
     (bench : WL.Benchspec.t) =
-  let profile_layout =
-    WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Profile_run ~seed
-  in
+  let cfg = Context.cfg ctx in
+  let seed = Context.seed ctx in
   let exec_layout =
     WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Execution_run ~seed
   in
-  (* One profile table for the benchmark, shared by every target: a
-     profile does not depend on the target. *)
-  let profiler =
-    WL.Profiling.memoized ~memo:(WL.Profiling.table_memo ()) cfg profile_layout
-  in
   List.concat_map
     (fun target ->
-      List.mapi
-        (fun index loop ->
-          let c =
-            Pipeline.compile cfg ~target
-              ~strategy:Vliw_core.Unroll_select.Selective
-              ~profiler:(profiler ~index loop) loop
-          in
+      let spec =
+        { Context.target; strategy = Vliw_core.Unroll_select.Selective;
+          aligned = true }
+      in
+      List.map
+        (fun (c : Pipeline.compiled) ->
+          let loop = c.Pipeline.source in
           let where =
             Printf.sprintf "%s/%s[%s]" bench.WL.Benchspec.name
               loop.Loop.name
@@ -122,7 +113,7 @@ let explain_bench cfg ~seed ?oracle_budget
             lints = Attribution.missed_locality cfg exec_layout ~where c;
             oracle;
           })
-        (WL.Benchspec.loops bench))
+        (Context.compiled ctx bench spec))
     targets
 
 (* ------------------------------------------------------------- report *)
@@ -304,9 +295,11 @@ let summary_json s =
         ("gaps", Int s.gaps); ("lints", Int s.lints);
       ])
 
-let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks ?(json = false)
-    ?oracle_budget
-    ?(oracle_memo = fun (_ : string) f -> f ()) ppf =
+let run_all ?ctx ?seed ?benchmarks ?(json = false) ?oracle_budget ?oracle_memo
+    ppf =
+  if Option.is_some ctx && Option.is_some seed then
+    invalid_arg "Explain.run_all: both ~ctx and ~seed";
+  let ctx = match ctx with Some c -> c | None -> Context.create ?seed () in
   let benches =
     match benchmarks with
     | None -> WL.Mediabench.all
@@ -314,7 +307,7 @@ let run_all ?(cfg = Config.default) ?(seed = 7) ?benchmarks ?(json = false)
   in
   let per_bench =
     Pool.map_ordered
-      (fun b -> explain_bench cfg ~seed ?oracle_budget ~oracle_memo b)
+      (fun b -> explain_bench ctx ?oracle_budget ?oracle_memo b)
       benches
   in
   let reports = List.concat per_bench in

@@ -27,7 +27,7 @@ let table ctx =
   let rows =
     Pool.map_ordered
       (fun (hname, spec) ->
-        let per_loop =
+        let per_loop, _ =
           Context.run_batch_loops ctx (WL.Mediabench.find "epicdec") spec cells
         in
         let stall j ~in_loop_only =

@@ -19,10 +19,17 @@
      nested pool maps (analyze/explain drivers) stay in the request's
      own domain where its token lives.
 
+   - analyze, explain and oracle hand the drivers the session context:
+     they compile through its memo at its seed and configuration, so a
+     repeated request, or a compile of the same benchmark and target,
+     reuses their work.
+
    - Known limitation, by design: two concurrent requests sharing a
      memo key where one has a binding deadline can race for the
      single-flight claim, so *that* pairing is not replay-stable across
-     --jobs.  Deadline determinism is per-request; the e2e test keeps
+     --jobs.  Deadline-bearing analyze/explain requests share compile
+     keys with compile (and simulate) requests, so they fall under the
+     same race.  Deadline determinism is per-request; the e2e test keeps
      deadline-bearing requests on dedicated keys. *)
 
 module Config = Vliw_arch.Config
@@ -39,7 +46,7 @@ module Cancel = Vliw_parallel.Cancel
 module Pool = Vliw_parallel.Pool
 module Memo = Vliw_parallel.Memo
 module Sync = Vliw_parallel.Sync
-module Context = Vliw_experiments.Context
+module Context = Vliw_analysis.Context
 module Json = Vliw_report.Json
 
 let schema_version = 1
@@ -390,7 +397,7 @@ let payload ctx (req : Proto.request) =
       | Error e -> Error e
       | Ok benchmarks ->
           let s =
-            Analyze.run_all ~cfg:(Context.cfg ctx) ?benchmarks (null_ppf ())
+            Analyze.run_all ~ctx ?benchmarks (null_ppf ())
           in
           Ok [ ("summary", Json.Obj (Analyze.summary_fields s)) ])
   | Proto.Explain { bench } -> (
@@ -398,7 +405,7 @@ let payload ctx (req : Proto.request) =
       | Error e -> Error e
       | Ok benchmarks ->
           let s =
-            Explain.run_all ~cfg:(Context.cfg ctx) ?benchmarks (null_ppf ())
+            Explain.run_all ~ctx ?benchmarks (null_ppf ())
           in
           Ok [ ("summary", Explain.summary_json s) ])
   | Proto.Oracle { bench; budget } -> (
@@ -406,9 +413,7 @@ let payload ctx (req : Proto.request) =
       | Error e -> Error e
       | Ok benchmarks ->
           let s =
-            Explain.run_all ~cfg:(Context.cfg ctx) ?benchmarks
-              ~oracle_budget:budget
-              ~oracle_memo:(Context.oracle_memo ctx)
+            Explain.run_all ~ctx ?benchmarks ~oracle_budget:budget
               (null_ppf ())
           in
           let row (r : Explain.oracle_row) =

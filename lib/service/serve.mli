@@ -1,7 +1,9 @@
 (** The resident compile service: a long-lived loop over a
     newline-delimited JSON transport that shares one
-    {!Vliw_experiments.Context} (all three sharded single-flight memos)
-    across every request of a session.
+    {!Vliw_analysis.Context} (all three sharded single-flight memos)
+    across every request of a session: compile, simulate and sweep-cell
+    requests and the analyze, explain and oracle drivers all compile
+    through it, at its seed and configuration.
 
     The robustness contract, in order of the failure taxonomy:
     {ul
@@ -87,7 +89,7 @@ val run :
   ?wall_times:bool ->
   ?default_deadline:int ->
   ?drain_flag:bool Atomic.t ->
-  ?ctx:Vliw_experiments.Context.t ->
+  ?ctx:Vliw_analysis.Context.t ->
   input:Unix.file_descr ->
   output:out_channel ->
   unit ->
@@ -110,4 +112,5 @@ val run :
     [default_deadline] is the work-unit budget for requests that carry
     no ["deadline"] field (default: effectively unbounded).
     [drain_flag] is polled between reads — the SIGINT hook.  [ctx]
-    (default: fresh) is the shared compile/trace/oracle memo context. *)
+    (default: a fresh [Context.create ()]) is the session context: its
+    memos, its seed and its configuration. *)

@@ -83,13 +83,3 @@ let memoized ~memo cfg layout ~index (source : Loop.t) (loop : Loop.t) =
   memo
     (Printf.sprintf "loop=%d|x%d" index factor)
     (fun () -> profile_loop cfg layout loop)
-
-let table_memo () =
-  let table = Hashtbl.create 16 in
-  fun key compute ->
-    match Hashtbl.find_opt table key with
-    | Some p -> p
-    | None ->
-        let p = compute () in
-        Hashtbl.add table key p;
-        p

@@ -11,9 +11,8 @@ val profiler :
   Vliw_arch.Config.t -> Layout.t -> Vliw_ir.Loop.t -> Vliw_core.Profile.t
 (** The closure shape {!Vliw_core.Pipeline.compile} expects (it calls it
     on every unrolled candidate).  It profiles afresh on every call;
-    callers memoize — through {!memoized}, which the experiment context
-    backs with a shared memo and the analyze/explain drivers with one
-    table per benchmark. *)
+    callers memoize through {!memoized}, which the experiment context
+    backs with its shared profile memo. *)
 
 val memoized :
   memo:(string -> (unit -> Vliw_core.Profile.t) -> Vliw_core.Profile.t) ->
@@ -34,9 +33,3 @@ val memoized :
     to many compiles.
     @raise Invalid_argument if the loop's op count is not a multiple of
     the source's. *)
-
-val table_memo :
-  unit -> string -> (unit -> Vliw_core.Profile.t) -> Vliw_core.Profile.t
-(** A fresh, unsynchronized memo for {!memoized}'s [memo] — for a caller
-    that profiles from one domain only, like the analyze and explain
-    drivers, each benchmark of which is one pool task. *)

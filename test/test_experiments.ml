@@ -291,6 +291,20 @@ let test_run_knobs_match_reference () =
         [ false; true ])
     [ 8; 16 ]
 
+(* The analyze and explain drivers compile through the context they are
+   handed: analyze looks each of gsmdec's four targets up once (its
+   batch runner returns the compiles it simulated), and explain then
+   finds all four in the memo. *)
+let test_drivers_share_compile_memo () =
+  let ctx = Context.create () in
+  let ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
+  let benchmarks = [ "gsmdec" ] in
+  ignore (Vliw_analysis.Analyze.run_all ~ctx ~benchmarks ppf);
+  ignore (Vliw_analysis.Explain.run_all ~ctx ~benchmarks ppf);
+  let m = List.assoc "compiles" (Context.memo_stats ctx) in
+  check ci "compile misses" 4 m.Vliw_parallel.Memo.misses;
+  check ci "compile hits" 4 m.Vliw_parallel.Memo.hits
+
 let test_worked_example_full () =
   let lat = Vliw_experiments.Worked_example.assigned ctx in
   check ci "n1" 4 lat.(Vliw_experiments.Worked_example.n1);
@@ -319,5 +333,7 @@ let suite =
      test_batch_rejects_invalid_cell);
     ("context: cell with another block size rejected", `Quick,
      test_batch_rejects_other_block_size);
+    ("context: analyze and explain share one compile memo", `Quick,
+     test_drivers_share_compile_memo);
     ("worked example: final latencies", `Quick, test_worked_example_full);
   ]

@@ -244,6 +244,7 @@ let test_attribution_budget_identity () =
   (* Over real compiled loops: II >= MII >= floor MII, every bound is at
      most the achieved II, and the ranked budget sums exactly to
      II - floor MII. *)
+  let ctx = A.Context.create () in
   List.iter
     (fun bench_name ->
       let bench = WL.Mediabench.find bench_name in
@@ -276,7 +277,7 @@ let test_attribution_budget_identity () =
             a.Attribution.budget;
           check cb (where ^ ": unroll factor among candidates") true
             (List.mem_assoc r.Explain.unroll_factor r.Explain.considered))
-        (Explain.explain_bench cfg ~seed:7 bench))
+        (Explain.explain_bench ctx bench))
     [ "gsmdec"; "epicdec" ]
 
 (* ------------------------------------------------ missed-locality lint *)

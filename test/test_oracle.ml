@@ -104,6 +104,37 @@ let test_infeasible_below_resmii () =
   in
   Alcotest.(check bool) "infeasible" true (d = Oracle.Infeasible)
 
+(* Activating a copy takes an issue slot in its producer's cluster, and
+   [activate]'s residual check must see it at once.  Two clusters of
+   issue width 2 at II 1 hold 4 ops: the int ops a -> b must split over
+   the clusters (one int FU each), and a's copy to b leaves 3 issue
+   slots for the 2 FP ops still unplaced plus b.  The check refutes the
+   split as soon as b is placed: 3 decisions, 2 conflicts, where
+   without it the search goes on to place the FP ops (5 and 3). *)
+let test_copy_issue_residual () =
+  let b = Builder.create () in
+  let int_op () = Builder.add b ~dests:[ Builder.fresh_reg b ] Opcode.Int_alu in
+  let a = int_op () in
+  Builder.flow b a (int_op ());
+  for _ = 1 to 2 do
+    ignore (Builder.add b ~dests:[ Builder.fresh_reg b ] Opcode.Fp_mul)
+  done;
+  let ddg = Builder.build b in
+  let narrow =
+    {
+      cfg with
+      Config.n_clusters = 2;
+      issue_width_per_cluster = 2;
+      bus_occupancy = 1;
+    }
+  in
+  let d, stats =
+    Oracle.decide narrow ddg ~latency:(latency ddg) ~ii:1 ~budget:1_000 ()
+  in
+  Alcotest.(check bool) "infeasible" true (d = Oracle.Infeasible);
+  Alcotest.(check int) "decisions" 3 stats.Cpsolver.decisions;
+  Alcotest.(check int) "conflicts" 2 stats.Cpsolver.conflicts
+
 let test_infeasible_below_recmii () =
   (* self-recurrence of an Int_mul: rec_mii = its latency; one below is
      refuted by the positive-cycle propagator, not by any shortcut *)
@@ -174,21 +205,15 @@ let test_oracle_allocation () =
   let module WL = Vliw_workloads in
   let module Pipeline = Vliw_core.Pipeline in
   let bench = WL.Mediabench.find "rasta" in
-  let layout =
-    WL.Layout.create cfg ~aligned:true ~run:WL.Layout.Profile_run ~seed:7
-  in
-  let profiler =
-    WL.Profiling.memoized ~memo:(WL.Profiling.table_memo ()) cfg layout
-  in
-  let index, loop =
-    List.find
-      (fun (_, l) -> l.Loop.name = "filterbank")
-      (List.mapi (fun i l -> (i, l)) (WL.Benchspec.loops bench))
-  in
   let target = Pipeline.Interleaved { heuristic = `Ipbc; chains = true } in
   let c =
-    Pipeline.compile cfg ~target ~strategy:Vliw_core.Unroll_select.Selective
-      ~profiler:(profiler ~index loop) loop
+    List.find
+      (fun (c : Pipeline.compiled) -> c.Pipeline.source.Loop.name = "filterbank")
+      (Vliw_analysis.Context.compiled
+         (Vliw_analysis.Context.create ~cfg ())
+         bench
+         { Vliw_analysis.Context.target;
+           strategy = Vliw_core.Unroll_select.Selective; aligned = true })
   in
   let hii = (Vliw_analysis.Attribution.attribute cfg c).Vliw_analysis.Attribution.ii in
   let latencies = c.Pipeline.latencies in
@@ -443,6 +468,8 @@ let suite =
       `Quick test_infeasible_below_recmii;
     Alcotest.test_case "oracle: cross-cluster copies" `Quick
       test_cross_cluster_gap;
+    Alcotest.test_case "oracle: a copy's issue slot prunes at once" `Quick
+      test_copy_issue_residual;
     Alcotest.test_case "oracle: deterministic reruns" `Quick
       test_certify_deterministic;
     Alcotest.test_case "oracle: < 100 minor words per decision" `Quick

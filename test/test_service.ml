@@ -116,7 +116,7 @@ let test_fault_plan_deterministic () =
    temp file, serve it until EOF/drain, read the response lines back
    from another.  A file rather than a pipe, so a session may exceed
    the pipe's capacity (the oversized-line case does). *)
-let run_session ?(jobs = 1) ?chaos ?default_deadline lines =
+let run_session ?(jobs = 1) ?ctx ?chaos ?default_deadline lines =
   let in_path = Filename.temp_file "vliw_serve_test" ".in" in
   let oc = open_out_bin in_path in
   output_string oc (String.concat "\n" lines ^ "\n");
@@ -125,7 +125,7 @@ let run_session ?(jobs = 1) ?chaos ?default_deadline lines =
   let path = Filename.temp_file "vliw_serve_test" ".out" in
   let out = open_out path in
   let outcome =
-    Serve.run ~jobs ?chaos ?default_deadline ~input:r ~output:out ()
+    Serve.run ~jobs ?ctx ?chaos ?default_deadline ~input:r ~output:out ()
   in
   Unix.close r;
   Sys.remove in_path;
@@ -372,6 +372,77 @@ let test_bad_geometry_rejected () =
       end)
     responses
 
+(* --------------------------------------------- the session context *)
+
+let field path line =
+  let rec go path (v : Proto.json) =
+    match (path, v) with
+    | [], v -> v
+    | key :: rest, Proto.Obj f -> (
+        match List.assoc_opt key f with
+        | Some v -> go rest v
+        | None -> Alcotest.failf "no field %S in %s" key line)
+    | _ -> Alcotest.failf "not an object on the way to %S in %s" (List.hd path) line
+  in
+  match Proto.parse line with
+  | Ok v -> go path v
+  | Error e -> Alcotest.failf "unstructured response %S: %s" line e
+
+(* explain profiles at the session context's seed: epicenc has no loop
+   with II above MII at seed 7 and one at seed 11. *)
+let test_explain_at_session_seed () =
+  let ctx = Vliw_experiments.Context.create ~seed:11 () in
+  let _, responses =
+    run_session ~ctx
+      [ {|{"req":"explain","bench":"epicenc"}|}; {|{"req":"drain"}|} ]
+  in
+  match responses with
+  | [ explained; _drained ] ->
+      check cs "explain answered" "ok" (status_of explained);
+      check cb "one gap at seed 11" true
+        (field [ "summary"; "gaps" ] explained = Proto.Int 1)
+  | _ -> Alcotest.fail "expected exactly two responses"
+
+(* A repeated analyze finds its four compiles in the session memo:
+   between the last two health lines the compile misses stand still and
+   the hits rise by one per target. *)
+let test_analyze_reuses_session_memo () =
+  let _, responses =
+    run_session
+      [
+        {|{"req":"health"}|};
+        {|{"req":"analyze","bench":"gsmdec"}|};
+        {|{"req":"health"}|};
+        {|{"req":"analyze","bench":"gsmdec"}|};
+        {|{"req":"health"}|};
+        {|{"req":"drain"}|};
+      ]
+  in
+  let compiles line =
+    match field [ "memos" ] line with
+    | Proto.List memos -> (
+        let named m =
+          match m with
+          | Proto.Obj f -> List.assoc_opt "name" f = Some (Proto.String "compiles")
+          | _ -> false
+        in
+        match List.find named memos with
+        | Proto.Obj f -> (List.assoc "hits" f, List.assoc "misses" f)
+        | _ -> assert false)
+    | _ -> Alcotest.fail ("health without memos: " ^ line)
+  in
+  match responses with
+  | [ _; a1; h1; a2; h2; _drained ] ->
+      check cs "first analyze" "ok" (status_of a1);
+      check cs "second analyze" "ok" (status_of a2);
+      let hits1, misses1 = compiles h1 and hits2, misses2 = compiles h2 in
+      check cb "no new compile misses" true (misses1 = misses2);
+      check cb "one compile hit per target" true
+        (match (hits1, hits2) with
+        | Proto.Int h1, Proto.Int h2 -> h2 = h1 + 4
+        | _ -> false)
+  | _ -> Alcotest.fail "expected exactly six responses"
+
 let suite =
   [
     ("proto: JSON round-trips", `Quick, test_json_roundtrip);
@@ -391,4 +462,8 @@ let suite =
      test_timeout_deterministic_and_memo_safe);
     ("serve: unbuildable cache geometry is bad_config", `Quick,
      test_bad_geometry_rejected);
+    ("serve: explain profiles at the session's seed", `Quick,
+     test_explain_at_session_seed);
+    ("serve: analyze reuses the session's compile memo", `Quick,
+     test_analyze_reuses_session_memo);
   ]
