@@ -468,12 +468,12 @@ let suite =
       `Quick test_infeasible_below_recmii;
     Alcotest.test_case "oracle: cross-cluster copies" `Quick
       test_cross_cluster_gap;
-    Alcotest.test_case "oracle: a copy's issue slot prunes at once" `Quick
-      test_copy_issue_residual;
     Alcotest.test_case "oracle: deterministic reruns" `Quick
       test_certify_deterministic;
     Alcotest.test_case "oracle: < 100 minor words per decision" `Quick
       test_oracle_allocation;
+    Alcotest.test_case "oracle: a copy's issue slot prunes at once" `Quick
+      test_copy_issue_residual;
     Alcotest.test_case "leaderboard: byte-identical across --jobs" `Quick
       test_leaderboard_deterministic;
     Alcotest.test_case "leaderboard: unknown(budget) carries partial result"
