@@ -4,6 +4,10 @@ type scratch = { mutable s_kind : kind; mutable s_ready_at : int }
 
 let scratch () = { s_kind = Local_hit; s_ready_at = 0 }
 
+let by_index = [| Local_hit; Remote_hit; Local_miss; Remote_miss; Combined |]
+let n_kinds = Array.length by_index
+let of_index i = by_index.(i)
+
 let latency (cfg : Config.t) = function
   | Local_hit -> cfg.Config.lat_local_hit
   | Remote_hit -> cfg.Config.lat_remote_hit

@@ -15,6 +15,14 @@ type scratch = { mutable s_kind : kind; mutable s_ready_at : int }
 val scratch : unit -> scratch
 (** A fresh scratch slot (initialized to a local hit at cycle 0). *)
 
+val n_kinds : int
+
+val of_index : int -> kind
+(** The kind at a position [0 .. n_kinds - 1] of declaration order,
+    the order of the per-kind counters in
+    {!Interleaved_cache.run_batch}'s tallies and in the simulator's
+    statistics. *)
+
 val latency : Config.t -> kind -> int
 (** Architectural latency of a non-combined access class.
     @raise Invalid_argument on [Combined] (its latency is the residual

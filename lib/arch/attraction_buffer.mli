@@ -4,7 +4,12 @@
     to that subblock are satisfied locally.  Coherence is the scheduler's
     job (memory-dependent chains) plus a flush between loops. *)
 
-type t
+type t = private { cluster_shift : int; buffers : Set_assoc.t array }
+(** [buffers.(c)] is cluster [c]'s buffer.  It is keyed by the subblock
+    number [(block lsl cluster_shift) lor home] (see
+    {!Config.decoder}), so the subblocks of one block spread over
+    consecutive sets.  Exposed for the interleaved cache's access loop,
+    which probes the buffers in place. *)
 
 val create : Config.t -> t
 (** One buffer per cluster, [ab_entries] entries, [ab_associativity]-way.

@@ -1,6 +1,7 @@
 (** Allocation-free open-addressing map from non-negative int keys to
-    int values — the pending-request bookkeeping of the cache models,
-    probed on every simulated access.
+    int values — the pending-request bookkeeping of the unified and
+    multiVLIW cache models, probed on every simulated access, and the
+    interleaved cache's spill table.
 
     [set] and [find_after] never allocate once the table has grown to its
     working size; there is no per-key deletion, only {!reset} (the

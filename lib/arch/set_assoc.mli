@@ -7,7 +7,22 @@
     power-of-two set count, [key mod sets] otherwise.  Nothing
     allocates, and a negative key raises [Invalid_argument]. *)
 
-type t
+type t = {
+  ways : int;
+  sets : int;
+  mask : int;  (** [sets - 1] when [sets] is a power of two, else -1 *)
+  keys : int array;  (** by slot; -1 marks an invalid way *)
+  stamps : int array;  (** by slot; the last use, from [clock] *)
+  mutable clock : int;
+}
+(** The record is exposed for the interleaved cache's access loop,
+    which scans and updates its tag and attraction-buffer arrays in
+    place: under dune's default [-opaque] builds every call into this
+    module from another one goes through [caml_applyN].  Code that
+    writes a field must keep this module's policy, which
+    {!Interleaved_cache} restates and the "flat caches match the record
+    spec" property checks.  Everything else should use the functions
+    below. *)
 
 val create : sets:int -> ways:int -> t
 (** @raise Invalid_argument if either argument is non-positive. *)

@@ -53,18 +53,19 @@ let mem_ops_in_issue_order (c : Pipeline.compiled) =
 
    Everything the steady-state loop needs is precomputed into flat
    arrays indexed by mem-op plan position: start cycle, cluster, parts,
-   store flag, promised latency, and the Figure-5 factor mask. *)
+   store flag, promised latency, and the Figure-5 factor mask.  The
+   record is the interleaved cache's, whose batch loop reads it. *)
 
-type plan = {
-  ops : int array;  (* op id, in issue order *)
-  starts : int array;  (* start cycle within the II *)
+type plan = Arch.Interleaved_cache.plan = {
+  starts : int array;
   clusters : int array;
   stores : bool array;
-  parts : int array;  (* subword parts an element spans *)
-  promised : int array;  (* latency the schedule promised the load *)
+  parts : int array;
+  promised : int array;
   factor_masks : int array;  (* Stats.factor_mask of the op's factors *)
 }
 
+(* The plan and the op id at each of its positions. *)
 let build_plan cfg (c : Pipeline.compiled) =
   let ddg = c.Pipeline.loop.Loop.ddg in
   let sched = c.Pipeline.schedule in
@@ -73,7 +74,6 @@ let build_plan cfg (c : Pipeline.compiled) =
   let n = Array.length ops in
   let p =
     {
-      ops;
       starts = Array.make n 0;
       clusters = Array.make n 0;
       stores = Array.make n false;
@@ -102,7 +102,7 @@ let build_plan cfg (c : Pipeline.compiled) =
       p.factor_masks.(k) <-
         Stats.factor_mask (stall_factors cfg c op))
     ops;
-  p
+  (ops, p)
 
 (* ------------------------------------------------------------------ *)
 (* Address traces.
@@ -138,15 +138,15 @@ let address_trace (c : Pipeline.compiled) ~addr_of =
    iterations will be simulated — memoized traces are always
    full-length, and the length check is the cross-check that the trace
    belongs to this plan. *)
-let resolve_trace (p : plan) ~trip ~full_trip ~addr_of ~addr_trace =
+let resolve_trace ops ~trip ~full_trip ~addr_of ~addr_trace =
   match addr_trace with
   | Some t ->
-      if Array.length t <> Array.length p.ops * full_trip then
+      if Array.length t <> Array.length ops * full_trip then
         invalid_arg "Executor: address trace length does not match the plan";
       t
   | None -> (
       match addr_of with
-      | Some f -> trace_of_ops p.ops ~trip ~addr_of:f
+      | Some f -> trace_of_ops ops ~trip ~addr_of:f
       | None ->
           invalid_arg "Executor: either ~addr_of or ~addr_trace is required")
 
@@ -159,22 +159,25 @@ let resolve_trace (p : plan) ~trip ~full_trip ~addr_of ~addr_trace =
    many memory-hierarchy points.  The plan, the Figure-5 factor masks
    and the address trace are identical across those points, so the
    kernel hoists them out and keeps only what genuinely differs per
-   configuration as struct-of-arrays batch state:
+   configuration as struct-of-arrays batch state: each cell's
+   accumulated stall (its own clock skew), its counters, its attract
+   flags per plan position, and its machine.
 
-     - [stalls]  : each config's accumulated stall (its own clock skew),
-     - [stats]   : each config's Stats accumulator,
-     - [attracts]: each config's per-plan-position attract flag,
-     - the machines themselves (tags, AB contents, pending Int_tables).
+   The batch splits by backend.  The interleaved cells — every sweep's
+   bulk — run in [Interleaved_cache.run_batch], the per-(iteration, op,
+   part, cell) loop in the same compilation unit as the cache's access
+   path, so no call on it crosses a module: dune's default profile
+   builds with -opaque, and there every cross-module call is a
+   [caml_applyN] that nothing inlines.  Its counts come back as int
+   tallies, added to each cell's Stats once per loop.  The unified and
+   multiVLIW cells run in the closure loop below, one monomorphic access
+   closure per cell, results through a mutable scratch slot.  Neither
+   loop allocates per access; miss paths may grow a cache's pending or
+   spill table, which is amortized and bounded by the blocks in
+   flight.
 
-   The backend dispatch is hoisted out of the loop — each cell gets a
-   monomorphic access closure calling its cache's allocation-free
-   [access] — and access results come back through two mutable
-   scratch slots.  The steady-state (hit-path) loop performs zero heap
-   allocation; miss paths may grow the cache's pending table, which is
-   amortized and bounded by the blocks in flight.
-
-   The inner loop decodes each part of a mem-op's address once per
-   iteration and dispatches it to every cell.  Cells are independent —
+   Both loops decode each part of a mem-op's address once per iteration
+   and dispatch it to each of their cells.  Cells are independent —
    each has its own machine, stall clock and statistics — so every
    cell's per-access sequence is exactly what a one-cell batch of that
    config would produce: results are bit-identical whatever the batch
@@ -186,76 +189,18 @@ type batch_cell = {
   attractable : bool array option;
 }
 
-let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
-    ?addr_of ?addr_trace ?trip () =
-  let full_trip = c.Pipeline.loop.Loop.trip_count in
-  (* The sweep's fidelity/wall-clock knob: simulate only the first
-     [trip] unrolled iterations.  Every cell of the batch is cut at the
-     same point and compute time uses the cut count, so a capped run is
-     exactly a shortened loop — still bit-identical across cells, jobs
-     and batch compositions. *)
-  let trip =
-    match trip with
-    | Some t -> max 1 (min t full_trip)
-    | None -> full_trip
-  in
-  let sched = c.Pipeline.schedule in
-  let ii = sched.Schedule.ii in
-  let p = build_plan cfg c in
-  let n = Array.length p.ops in
-  let m = Array.length cells in
-  let i_factor = cfg.Config.interleaving_factor in
-  let trace = resolve_trace p ~trip ~full_trip ~addr_of ~addr_trace in
-  (* Struct-of-arrays per-config state. *)
-  let stalls = Array.make m 0 in
-  let stats = Array.init m (fun _ -> Stats.create ()) in
-  let attract_all = Array.make n true in
-  let attracts =
-    Array.map
-      (fun cell ->
-        match cell.attractable with
-        | None -> attract_all (* shared read-only *)
-        | Some flags -> Array.map (fun op -> flags.(op)) p.ops)
-      cells
-  in
-  (* Each part is decoded once for every cell, so the cells must decode
-     like the plan.  The shifts are [Config.block_of] and [home_of]
-     inlined: dune's default profile builds with -opaque, which stops
-     cross-module inlining, and a call per part costs. *)
-  let dec = Config.decoder cfg in
-  if Array.exists (fun cell -> Machine.decode cell.machine <> dec) cells then
-    invalid_arg "Executor: a cell's machine decodes addresses unlike the plan";
+(* The unified and multiVLIW cells over iterations [from, until). *)
+let run_closure_cells (p : plan) ~(dec : Config.decode) ~i_factor ~ii ~trace
+    ~from ~until accesses stalls stats =
+  let n = Array.length p.starts in
+  let m = Array.length accesses in
   let { Config.block_shift; unit_shift; cluster_mask; _ } = dec in
   let max_parts = Array.fold_left max 1 p.parts in
   let blocks = Array.make max_parts 0 in
   let homes = Array.make max_parts 0 in
   let out = Access.scratch () in
   let slowest = Access.scratch () in
-  (* One monomorphic access closure per cell, built once: the backend
-     dispatch happens here, not per access.  Cells are visited strictly
-     sequentially, so a single [out] scratch slot serves them all. *)
-  let access_of j =
-    match Machine.state cells.(j).machine with
-    | Machine.Interleaved_state ic ->
-        let att = attracts.(j) in
-        fun k ~now q ->
-          Arch.Interleaved_cache.access ic out ~attract:att.(k) ~now
-            ~cluster:p.clusters.(k) ~block:blocks.(q) ~home:homes.(q)
-            ~store:p.stores.(k)
-    | Machine.Unified_state uc ->
-        fun _ ~now q -> Arch.Unified_cache.access uc out ~now ~block:blocks.(q)
-    | Machine.Coherent_state cc ->
-        fun k ~now q ->
-          Arch.Coherent_cache.access cc out ~now ~cluster:p.clusters.(k)
-            ~block:blocks.(q) ~store:p.stores.(k)
-  in
-  let accesses = Array.init m access_of in
-  for iter = 0 to trip - 1 do
-    (* Deadline tick: [m] work units (one per simulated config) every
-       256 unrolled iterations — coarse enough to cost nothing, placed
-       at an iteration boundary so a cancelled run is cut at the same
-       trip point regardless of host or batch composition. *)
-    if iter land 255 = 0 then Vliw_parallel.Cancel.tick ~stage:"simulate" m;
+  for iter = from to until - 1 do
     let row = iter * n in
     for k = 0 to n - 1 do
       let base = trace.(row + k) in
@@ -269,11 +214,11 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
       for j = 0 to m - 1 do
         let issue = slot + stalls.(j) in
         let access = accesses.(j) in
-        access k ~now:issue 0;
+        access out k ~now:issue blocks.(0);
         slowest.Access.s_kind <- out.Access.s_kind;
         slowest.Access.s_ready_at <- out.Access.s_ready_at;
         for q = 1 to parts - 1 do
-          access k ~now:issue q;
+          access out k ~now:issue blocks.(q);
           if out.Access.s_ready_at >= slowest.Access.s_ready_at then begin
             slowest.Access.s_kind <- out.Access.s_kind;
             slowest.Access.s_ready_at <- out.Access.s_ready_at
@@ -293,7 +238,90 @@ let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
         end
       done
     done
-  done;
+  done
+
+let run_loop_batched cfg (cells : batch_cell array) (c : Pipeline.compiled)
+    ?addr_of ?addr_trace ?trip () =
+  let full_trip = c.Pipeline.loop.Loop.trip_count in
+  (* The sweep's fidelity/wall-clock knob: simulate only the first
+     [trip] unrolled iterations.  Every cell of the batch is cut at the
+     same point and compute time uses the cut count, so a capped run is
+     exactly a shortened loop — still bit-identical across cells, jobs
+     and batch compositions. *)
+  let trip =
+    match trip with
+    | Some t -> max 1 (min t full_trip)
+    | None -> full_trip
+  in
+  let sched = c.Pipeline.schedule in
+  let ii = sched.Schedule.ii in
+  let ops, p = build_plan cfg c in
+  let m = Array.length cells in
+  let i_factor = cfg.Config.interleaving_factor in
+  let trace = resolve_trace ops ~trip ~full_trip ~addr_of ~addr_trace in
+  (* Each part is decoded once for every cell, so the cells must decode
+     like the plan.  The shifts are [Config.block_of] and [home_of]
+     inlined, as a call per part would be a cross-module one. *)
+  let dec = Config.decoder cfg in
+  if Array.exists (fun cell -> Machine.decode cell.machine <> dec) cells then
+    invalid_arg "Executor: a cell's machine decodes addresses unlike the plan";
+  let stats = Array.init m (fun _ -> Stats.create ()) in
+  (* Split the batch by backend, keeping each cell's position.  Each
+     unified or multiVLIW cell gets one monomorphic access closure,
+     built once: the backend dispatch happens here, not per access. *)
+  let iw = ref [] and others = ref [] in
+  Array.iteri
+    (fun j cell ->
+      match Machine.state cell.machine with
+      | Machine.Interleaved_state ic -> iw := (j, ic) :: !iw
+      | Machine.Unified_state uc ->
+          others :=
+            (j, fun out _ ~now block -> Arch.Unified_cache.access uc out ~now ~block)
+            :: !others
+      | Machine.Coherent_state cc ->
+          others :=
+            ( j,
+              fun out k ~now block ->
+                Arch.Coherent_cache.access cc out ~now ~cluster:p.clusters.(k)
+                  ~block ~store:p.stores.(k) )
+            :: !others)
+    cells;
+  let iw = Array.of_list (List.rev !iw) in
+  let others = Array.of_list (List.rev !others) in
+  let caches = Array.map snd iw in
+  let attract_all = Array.make (Array.length ops) true in
+  let attracts =
+    Array.map
+      (fun (j, _) ->
+        match cells.(j).attractable with
+        | None -> attract_all (* shared read-only *)
+        | Some flags -> Array.map (fun op -> flags.(op)) ops)
+      iw
+  in
+  let iw_stalls = Array.make (Array.length iw) 0 in
+  let tallies = Array.map (fun _ -> Array.make Stats.tally_size 0) iw in
+  let accesses = Array.map snd others in
+  let other_stalls = Array.make (Array.length others) 0 in
+  let other_stats = Array.map (fun (j, _) -> stats.(j)) others in
+  (* In chunks of 256 unrolled iterations, each opened by the deadline
+     tick: [m] work units (one per simulated config), coarse enough to
+     cost nothing, at an iteration boundary so a cancelled run is cut at
+     the same trip point regardless of host or batch composition. *)
+  let rec chunks from =
+    if from < trip then begin
+      Vliw_parallel.Cancel.tick ~stage:"simulate" m;
+      let until = min trip (from + 256) in
+      if Array.length iw > 0 then
+        Arch.Interleaved_cache.run_batch caches ~attracts p ~decode:dec
+          ~i_factor ~ii ~trace ~from ~until ~stalls:iw_stalls ~tallies;
+      if Array.length others > 0 then
+        run_closure_cells p ~dec ~i_factor ~ii ~trace ~from ~until accesses
+          other_stalls other_stats;
+      chunks until
+    end
+  in
+  chunks 0;
+  Array.iteri (fun i (j, _) -> Stats.add_tally stats.(j) tallies.(i)) iw;
   let compute = (trip + Schedule.stage_count sched - 1) * ii in
   Array.iter (fun st -> Stats.add_compute st compute) stats;
   Array.iter (fun cell -> Machine.end_of_loop cell.machine) cells;

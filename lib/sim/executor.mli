@@ -16,6 +16,12 @@
     operation's preferred cluster counts as unclear below a 0.9
     distribution). *)
 
+val stall_factors :
+  Vliw_arch.Config.t -> Vliw_core.Pipeline.compiled -> int -> Stats.factor list
+(** The Figure-5 factors a stalling remote hit of the given operation
+    (an op id of the compiled loop's DDG) is counted under; empty for a
+    non-memory operation. *)
+
 val address_trace :
   Vliw_core.Pipeline.compiled ->
   addr_of:(op:int -> iter:int -> int) ->

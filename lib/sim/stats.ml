@@ -15,6 +15,7 @@ let factor_to_string = function
   | Not_in_preferred -> "not in preferred"
   | Granularity -> "granularity"
 
+(* The order of [Access.of_index], restated so it inlines. *)
 let kind_index = function
   | Access.Local_hit -> 0
   | Access.Remote_hit -> 1
@@ -37,9 +38,9 @@ type t = {
 
 let create () =
   {
-    accesses = Array.make 5 0.0;
-    stall = Array.make 5 0.0;
-    factors = Array.make 4 0.0;
+    accesses = Array.make Access.n_kinds 0.0;
+    stall = Array.make Access.n_kinds 0.0;
+    factors = Array.make (List.length all_factors) 0.0;
     compute = 0.0;
   }
 
@@ -58,6 +59,16 @@ let count_stall_factor_mask t m =
   for i = 0 to 3 do
     if m land (1 lsl i) <> 0 then t.factors.(i) <- t.factors.(i) +. 1.0
   done
+
+let tally_size = (2 * Access.n_kinds) + List.length all_factors
+
+let add_tally t (tally : int array) =
+  let add into off =
+    Array.iteri (fun i v -> into.(i) <- v +. float_of_int tally.(off + i)) into
+  in
+  add t.accesses 0;
+  add t.stall Access.n_kinds;
+  add t.factors (2 * Access.n_kinds)
 
 let add_compute t c = t.compute <- t.compute +. float_of_int c
 

@@ -30,6 +30,16 @@ val factor_mask : factor list -> int
 val count_stall_factor_mask : t -> int -> unit
 (** Count every factor present in the mask (allocation-free). *)
 
+val tally_size : int
+(** Length of the int tallies {!Vliw_arch.Interleaved_cache.run_batch}
+    counts into: access counts and stall cycles by kind, then one count
+    per factor in {!factor_mask} bit order. *)
+
+val add_tally : t -> int array -> unit
+(** Add a tally's counts.  The counters are integral floats below
+    2{^53}, so adding a loop's totals once gives the same bits as
+    counting each access. *)
+
 val add_compute : t -> int -> unit
 
 val accesses : t -> Vliw_arch.Access.kind -> int

@@ -732,10 +732,11 @@ let prop_interleaved_locality_honest =
    geometries and access streams: power-of-two clusters, interleaving,
    blocks and module sets; 1/2/4 ways; attraction buffers off or on with
    power-of-two or odd set counts; stores, same-cycle bursts that land
-   on in-flight fills, and [end_of_loop] between loops.  Every access's
-   classification and ready cycle, every victim the tag array reports,
-   the occupancies, the traffic counters and the MSI states must
-   agree. *)
+   on in-flight fills, issue times that step back as the executor's
+   iteration-major order does, and [end_of_loop] between loops.  Every
+   access's classification and ready cycle, every victim the tag array
+   reports, the occupancies, the traffic counters and the MSI states
+   must agree. *)
 let prop_caches_match_spec =
   make_test ~name:"flat caches match the record spec" (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -822,7 +823,13 @@ let prop_caches_match_spec =
             (* a burst: another word of the last block, same cycle *)
             addr := (!addr / block_size * block_size) + gen_int (block_size - 1)
         | _ ->
-            now := !now + gen_int (cfg.Config.lat_remote_miss + 2);
+            (* The executor issues iteration-major, so a late stage of
+               one iteration comes before an early stage of the next:
+               one step in four goes back in time. *)
+            let lat = cfg.Config.lat_remote_miss in
+            (now :=
+               if gen_int 3 = 0 then max 0 (!now - gen_int (2 * lat))
+               else !now + gen_int (lat + 2));
             addr := gen_int (span - 1));
         let cluster = gen_int (n_clusters - 1) in
         let store = gen_int 3 = 0 and attract = gen_int 3 > 0 in

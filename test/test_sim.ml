@@ -516,6 +516,116 @@ let test_batches_allocation_free () =
           (List.length cells) per accesses)
     [ dse; backends ]
 
+(* The batch kernel against the record-spec interleaved cache
+   (test/cache_spec.ml) on real access streams.  The kernel-vs-reference
+   suites above share the cache model under test; this one does not.
+   Each benchmark's compiled loops replay their execution address
+   traces through the spec in the kernel's issue order — iteration-major,
+   so issue times step back between pipeline stages — with the machine
+   kept from loop to loop, and the statistics and traffic must equal
+   Context.run_batch's bit for bit.  A 2 KB direct-mapped cache evicts
+   blocks while their fills are still in flight. *)
+let spec_replay cfg ~with_ab loops =
+  let module S = Cache_spec.Interleaved_cache in
+  let cache = S.create ~with_ab cfg in
+  let total = Stats.create () in
+  let r = Access.scratch () and rp = Access.scratch () in
+  let i_factor = cfg.Config.interleaving_factor in
+  List.iter
+    (fun ((c : Pipeline.compiled), trace) ->
+      let ddg = c.Pipeline.loop.Loop.ddg and sched = c.Pipeline.schedule in
+      let ii = sched.Schedule.ii in
+      let ops =
+        Array.of_list
+          (List.stable_sort
+             (fun a b -> compare sched.Schedule.start.(a) sched.Schedule.start.(b))
+             (Ddg.memory_ops ddg))
+      in
+      let n = Array.length ops in
+      let trip = c.Pipeline.loop.Loop.trip_count in
+      let stats = Stats.create () in
+      let stall = ref 0 in
+      for iter = 0 to trip - 1 do
+        Array.iteri
+          (fun k op ->
+            let issue = (iter * ii) + sched.Schedule.start.(op) + !stall in
+            let o = Ddg.op ddg op in
+            let store = Operation.is_store o in
+            let parts =
+              match o.Operation.mem with
+              | Some m -> max 1 ((m.Mem_access.granularity + i_factor - 1) / i_factor)
+              | None -> 1
+            in
+            let part out q =
+              S.access cache out ~attract:true ~now:issue
+                ~cluster:sched.Schedule.cluster.(op)
+                ~addr:(trace.((iter * n) + k) + (q * i_factor))
+                ~store
+            in
+            part r 0;
+            for q = 1 to parts - 1 do
+              part rp q;
+              if rp.Access.s_ready_at >= r.Access.s_ready_at then begin
+                r.Access.s_kind <- rp.Access.s_kind;
+                r.Access.s_ready_at <- rp.Access.s_ready_at
+              end
+            done;
+            Stats.count_access stats r.Access.s_kind;
+            if not store then begin
+              let s = r.Access.s_ready_at - (issue + c.Pipeline.latencies.(op)) in
+              if s > 0 then begin
+                stall := !stall + s;
+                Stats.count_stall stats r.Access.s_kind ~cycles:s;
+                if r.Access.s_kind = Access.Remote_hit then
+                  List.iter (Stats.count_stall_factor stats)
+                    (Executor.stall_factors cfg c op)
+              end
+            end)
+          ops
+      done;
+      Stats.add_compute stats ((trip + Schedule.stage_count sched - 1) * ii);
+      S.end_of_loop cache;
+      Stats.accumulate ~into:total stats)
+    loops;
+  (total, Cache_spec.interleaved_summary cache)
+
+let test_kernel_matches_spec_cache () =
+  let module C = Vliw_experiments.Context in
+  let cfg = { cfg with Config.cache_size = 2048; associativity = 1 } in
+  let ctx = C.create ~cfg () in
+  let spec = C.interleaved `Ipbc in
+  let exec_layout =
+    WL.Layout.create cfg ~aligned:spec.C.aligned ~run:WL.Layout.Execution_run
+      ~seed:(C.seed ctx)
+  in
+  List.iter
+    (fun bname ->
+      let bench = WL.Mediabench.find bname in
+      let loops =
+        List.map
+          (fun (c : Pipeline.compiled) ->
+            ( c,
+              Executor.address_trace c
+                ~addr_of:(WL.Layout.addr_fn exec_layout c.Pipeline.loop.Loop.ddg) ))
+          (C.compiled ctx bench spec)
+      in
+      List.iter
+        (fun with_ab ->
+          let tag = Printf.sprintf "%s/AB %b" bname with_ab in
+          let kernel, traffic =
+            List.hd
+              (C.run_batch ctx bench spec
+                 [ C.cell (Machine.Word_interleaved { attraction_buffers = with_ab }) ])
+          in
+          let spec_stats, spec_traffic = spec_replay cfg ~with_ab loops in
+          check cb (tag ^ ": stats bit-identical") true
+            (Stats.equal kernel spec_stats);
+          check
+            Alcotest.(list (pair string int))
+            (tag ^ ": traffic identical") spec_traffic traffic)
+        [ false; true ])
+    [ "epicenc"; "jpegenc"; "mpeg2dec" ]
+
 let suite =
   [
     ("stats: counters", `Quick, test_stats_counts);
@@ -537,4 +647,6 @@ let suite =
      test_batched_matches_reference);
     ("executor: < 1 minor word per cell-access", `Quick,
      test_batches_allocation_free);
+    ("executor: spec cache replays real streams", `Slow,
+     test_kernel_matches_spec_cache);
   ]
