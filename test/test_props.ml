@@ -313,6 +313,141 @@ let test_ordering_suite_matches_spec =
             (Vliw_workloads.Benchspec.loops bench))
         Vliw_workloads.Mediabench.all)
 
+(* [Engine] and [Latency_assign] against the executable specs in
+   engine_spec.ml.  Loops are random DDGs with memory dependences between
+   their memory operations (so chains and memory components span several
+   operations), scheduled as drawn and unrolled, on random machines: 1, 2,
+   4 or 8 clusters, 1-4 register buses, bus occupancy 1-2. *)
+let build_memory_ddg rng =
+  let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+  let b = Builder.create () in
+  let g = build_random_ddg rng in
+  Array.iter
+    (fun (o : Operation.t) ->
+      ignore
+        (Builder.add b ~dests:o.Operation.dests ~srcs:o.Operation.srcs
+           ?mem:o.Operation.mem o.Operation.opcode))
+    (Ddg.ops g);
+  List.iter
+    (fun (e : Edge.t) ->
+      Builder.dep b ~kind:e.Edge.kind ~distance:e.Edge.distance e.Edge.src
+        e.Edge.dst)
+    (Ddg.edges g);
+  let mem = Array.of_list (Ddg.memory_ops g) in
+  let n_mem = Array.length mem in
+  if n_mem >= 2 then
+    for _ = 0 to gen_int (2 * n_mem) do
+      let a = mem.(gen_int (n_mem - 1)) and c = mem.(gen_int (n_mem - 1)) in
+      let kind =
+        match gen_int 3 with
+        | 0 -> Edge.Mem_flow
+        | 1 -> Edge.Mem_anti
+        | 2 -> Edge.Mem_out
+        | _ -> Edge.Mem_unresolved
+      in
+      if a < c then Builder.dep b ~kind a c
+      else Builder.dep b ~kind ~distance:(1 + gen_int 1) a c
+    done;
+  Builder.build b
+
+let random_machine rng =
+  let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+  {
+    cfg with
+    Config.n_clusters = List.nth [ 1; 2; 4; 8 ] (gen_int 3);
+    n_reg_buses = 1 + gen_int 3;
+    bus_occupancy = 1 + gen_int 1;
+  }
+
+(* A profile for every memory operation: random hit rate and a random
+   access distribution over the machine's clusters. *)
+let random_profile rng (c : Config.t) g =
+  let gen_f () =
+    QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.float_bound_inclusive 1.0)
+  in
+  let profile = Profile.empty ~n_ops:(Ddg.n_ops g) in
+  List.iter
+    (fun i ->
+      let w = Array.init c.Config.n_clusters (fun _ -> gen_f ()) in
+      let total = Array.fold_left ( +. ) 0.0 w in
+      let fractions =
+        if total <= 0.0 then
+          Array.make c.Config.n_clusters (1.0 /. float c.Config.n_clusters)
+        else Array.map (fun x -> x /. total) w
+      in
+      profile.(i) <-
+        Some
+          (Profile.make_op ~hit_rate:(gen_f ()) ~cluster_fractions:fractions
+             ~accesses:(1 + int_of_float (1000.0 *. gen_f ()))))
+    (Ddg.memory_ops g);
+  profile
+
+let prop_engine_matches_spec =
+  make_test ~name:"engine schedule matches the spec" (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let gen_int bound =
+        QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound)
+      in
+      let c = random_machine rng in
+      let g = build_memory_ddg rng in
+      let factor = 2 + gen_int 2 in
+      List.for_all
+        (fun g ->
+          let n = Ddg.n_ops g in
+          let lat =
+            Array.init n (fun i ->
+                if Operation.is_load (Ddg.op g i) then 1 + gen_int 14
+                else max 1 (Ddg.default_latency g i + gen_int 2 - 1))
+          in
+          let latency i = lat.(i) in
+          let profile = random_profile rng c g in
+          let chains = Vliw_core.Chains.build g in
+          let policies =
+            Vliw_core.Cluster_heuristic.
+              [
+                All_free;
+                Ibc chains;
+                Ipbc (chains, profile);
+                Preferred_no_chains profile;
+              ]
+          in
+          List.for_all
+            (fun policy ->
+              List.for_all
+                (fun allow_cross_cluster_mem ->
+                  let run schedule =
+                    let hooks = Vliw_core.Cluster_heuristic.hooks g policy in
+                    let r0 = Vliw_sched.Mrt.bus_rejections () in
+                    let s = schedule hooks in
+                    (s, Vliw_sched.Mrt.bus_rejections () - r0)
+                  in
+                  run (fun hooks ->
+                      Engine.schedule c g ~latency ~hooks
+                        ~allow_cross_cluster_mem ())
+                  = run (fun hooks ->
+                        Engine_spec.schedule c g ~latency ~hooks
+                          ~allow_cross_cluster_mem ()))
+                [ false; true ])
+            policies)
+        [ g; Unroll.ddg g ~factor ])
+
+let prop_latency_assign_matches_spec =
+  make_test ~name:"latency assignment matches the spec" (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let gen_int bound =
+        QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound)
+      in
+      let c = random_machine rng in
+      let g = build_memory_ddg rng in
+      let g = Unroll.ddg g ~factor:(1 + gen_int 3) in
+      let profile = random_profile rng c g in
+      let hit = 1 + gen_int 4 in
+      List.for_all
+        (fun mode ->
+          Latency_assign.assign c g ~mode ~profile
+          = Engine_spec.Latency_assign.assign c g ~mode ~profile)
+        Latency_assign.[ Four_level; Two_level { hit; miss = hit + 10 } ])
+
 (* LRU set-associative array vs. a naive reference model, over random
    shapes and the whole interface: the victim [insert] reports must be
    the reference's least-recently-used key, and invalidation holes must
@@ -650,6 +785,8 @@ let suite =
     prop_mrt_matches_spec;
     prop_ordering_matches_spec;
     test_ordering_suite_matches_spec;
+    prop_engine_matches_spec;
+    prop_latency_assign_matches_spec;
     prop_set_assoc_matches_reference;
     prop_profile_fingerprint;
     prop_expected_stall_monotone;
