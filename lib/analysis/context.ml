@@ -23,6 +23,9 @@ type t = {
   profiles : Vliw_core.Profile.t Memo.t;
       (* profile runs, keyed by bench/alignment/seed/profile fingerprint
          and Profiling.memoized's loop index and unroll factor *)
+  candidates : Pipeline.candidate Memo.t;
+      (* scheduled unroll candidates, keyed by bench/loop index/factor/
+         target/alignment/seed/config — see [compile_uncached] *)
 }
 
 (* Memo bounds: far above what any single-figure run touches (the
@@ -38,6 +41,7 @@ let create ?(cfg = Config.default) ?(seed = 7) () =
     traces = Memo.create ~cap:8192 ();
     oracles = Memo.create ~cap:1024 ();
     profiles = Memo.create ~cap:4096 ();
+    candidates = Memo.create ~cap:8192 ();
   }
 
 let cfg t = t.cfg
@@ -82,10 +86,34 @@ let cache_key t bench spec =
     spec.aligned t.seed
     (Config.fingerprint t.cfg)
 
+(* A candidate's key: its benchmark, target, alignment, seed and config
+   (the scope, one per compile), then its loop index and factor. *)
+let candidate_scope t bench spec =
+  Printf.sprintf "%s|%s|%b|seed=%d|cfg=%s|" bench.WL.Benchspec.name
+    (Pipeline.target_to_string spec.target)
+    spec.aligned t.seed
+    (Config.fingerprint t.cfg)
+
+let candidate_key scope ~index ~factor =
+  Printf.sprintf "%sloop=%d|x%d" scope index factor
+
+let shared_candidate t bench spec ~index ~factor =
+  Memo.find_opt t.candidates
+    (candidate_key (candidate_scope t bench spec) ~index ~factor)
+
 (* A profile depends on the loop, its unroll factor, the profile-run
    layout and the cache geometry — not on the target, chains, unroll
    strategy, latencies or buses — so its key carries only those, and
-   every spec and every [with_cfg] sibling of equal geometry shares it. *)
+   every spec and every [with_cfg] sibling of equal geometry shares it.
+
+   A scheduled candidate depends on the loop, the factor, the target,
+   its profile and the whole configuration — not on the unroll
+   strategy, which only picks the factors — so the specs of a benchmark
+   that differ only in strategy share every factor they have in common
+   (the single-factor strategies' factors are all among Selective's).
+   A compile publishes its candidates only once every loop is done:
+   one that its deadline cancels leaves none behind, so a retry does
+   (and is charged) the same work as the first attempt. *)
 let compile_uncached t bench spec =
   let layout =
     WL.Layout.create t.cfg ~aligned:spec.aligned ~run:WL.Layout.Profile_run
@@ -97,12 +125,29 @@ let compile_uncached t bench spec =
       (Config.profile_fingerprint t.cfg)
   in
   let memo key f = Memo.get t.profiles (scope ^ key) f in
-  List.mapi
-    (fun index source ->
-      Pipeline.compile t.cfg ~target:spec.target ~strategy:spec.strategy
-        ~profiler:(WL.Profiling.memoized ~memo t.cfg layout ~index source)
-        source)
-    (WL.Benchspec.loops bench)
+  let candidates = candidate_scope t bench spec and fresh = ref [] in
+  let compiled =
+    List.mapi
+      (fun index source ->
+        let share ~factor schedule =
+          let key = candidate_key candidates ~index ~factor in
+          match Memo.find_opt t.candidates key with
+          | Some c -> c
+          | None ->
+              let c = schedule () in
+              fresh := (key, c) :: !fresh;
+              c
+        in
+        Pipeline.compile_shared t.cfg ~target:spec.target
+          ~strategy:spec.strategy
+          ~profiler:(WL.Profiling.memoized ~memo t.cfg layout ~index source)
+          ~share source)
+      (WL.Benchspec.loops bench)
+  in
+  List.iter
+    (fun (key, c) -> ignore (Memo.get t.candidates key (fun () -> c)))
+    (List.rev !fresh);
+  compiled
 
 let compiled t bench spec =
   Memo.get t.compiles (cache_key t bench spec) (fun () ->

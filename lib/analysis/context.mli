@@ -16,13 +16,23 @@
     depends on — so every spec of a benchmark, and every {!with_cfg}
     sibling that differs only outside the cache geometry (buses,
     occupancy, latencies, AB shape), shares one profile per (loop,
-    factor).  It stays out of {!memo_stats}.  One context can be shared
-    by all worker domains of the parallel experiment engine.
+    factor).  A fifth, the candidate memo, schedules each unroll
+    candidate once: its key is the benchmark, the loop index, the
+    factor, the target, the alignment, the seed and
+    {!Vliw_arch.Config.fingerprint}, so every unroll strategy that asks
+    for a factor reuses its latency vector, schedule and bus-rejection
+    count ({!Vliw_core.Pipeline.compile_shared}), rebuilding the
+    unrolled loop and its chains and taking the profile from the profile
+    memo.  A compile publishes its candidates only when every loop of
+    the benchmark is done, so a compile its deadline cancels leaves none
+    behind; a shared candidate costs no work unit.  The profile and
+    candidate memos stay out of {!memo_stats}.  One context can be
+    shared by all worker domains of the parallel experiment engine.
 
     Every memo is bounded (FIFO eviction; see {!Vliw_parallel.Memo}) so
     fleet-scale sweeps cannot grow memory without bound: 1024 compile
-    entries, 8192 traces, 1024 certifications and 4096 profiles, far
-    above any single figure's working set.  Eviction only costs a
+    entries, 8192 traces, 1024 certifications, 4096 profiles and 8192
+    candidates, far above any single figure's working set.  Eviction only costs a
     recompute, never a result.
 
     Every simulation goes through {!run_batch_loops}: the executor
@@ -91,6 +101,19 @@ val compiled : t -> Vliw_workloads.Benchspec.t -> spec -> Vliw_core.Pipeline.com
     per-key single-flight, so concurrent callers of the same key block
     until the first finishes rather than compiling twice, and callers
     of different keys usually proceed on independent shard locks. *)
+
+val shared_candidate :
+  t ->
+  Vliw_workloads.Benchspec.t ->
+  spec ->
+  index:int ->
+  factor:int ->
+  Vliw_core.Pipeline.candidate option
+(** The candidate the context has published for loop number [index] of
+    the benchmark unrolled [factor] times under [spec]'s target and
+    alignment (its strategy does not matter), if any compile has
+    finished one: the value every later compile of that candidate
+    reuses. *)
 
 type cell = {
   cell_arch : Vliw_sim.Machine.arch;

@@ -18,25 +18,25 @@ let levels (cfg : Config.t) = function
         cfg.Config.lat_local_hit;
       ]
 
-let class_probabilities ~mode (cfg : Config.t) (p : Profile.op_profile) =
+(* [prob] times the cycles a [class_lat] access stalls beyond [lat]. *)
+let stall ~lat prob class_lat =
+  if class_lat > lat then prob *. float_of_int (class_lat - lat) else 0.0
+
+(* The probability-weighted stall over the access classes — hit/miss,
+   or local/remote x hit/miss — summed in that order without building
+   a list: latency assignment evaluates it for every probe. *)
+let expected_stall (cfg : Config.t) ~mode p ~lat =
   let h = p.Profile.hit_rate in
   match mode with
-  | Two_level { hit; miss } -> [ (h, hit); (1.0 -. h, miss) ]
+  | Two_level { hit; miss } ->
+      0.0 +. stall ~lat h hit +. stall ~lat (1.0 -. h) miss
   | Four_level ->
       let l = Profile.local_ratio p in
-      [
-        (l *. h, cfg.Config.lat_local_hit);
-        ((1.0 -. l) *. h, cfg.Config.lat_remote_hit);
-        (l *. (1.0 -. h), cfg.Config.lat_local_miss);
-        ((1.0 -. l) *. (1.0 -. h), cfg.Config.lat_remote_miss);
-      ]
-
-let expected_stall cfg ~mode p ~lat =
-  List.fold_left
-    (fun acc (prob, class_lat) ->
-      acc +. (prob *. float_of_int (max 0 (class_lat - lat))))
-    0.0
-    (class_probabilities ~mode cfg p)
+      0.0
+      +. stall ~lat (l *. h) cfg.Config.lat_local_hit
+      +. stall ~lat ((1.0 -. l) *. h) cfg.Config.lat_remote_hit
+      +. stall ~lat (l *. (1.0 -. h)) cfg.Config.lat_local_miss
+      +. stall ~lat ((1.0 -. l) *. (1.0 -. h)) cfg.Config.lat_remote_miss
 
 let is_load ddg i = Operation.is_load (Ddg.op ddg i)
 
@@ -131,6 +131,9 @@ let assign cfg ddg ~mode ~profile =
                   (List.fold_left min max_int nb))
     |> List.map (fun (_, s, nodes) -> (s, nodes))
   in
+  (* One closure over the latency vector serves every probe: a probe
+     writes its candidate latency into the vector and restores it. *)
+  let latency i = latencies.(i) in
   let reduce (solver, recurrence) =
     let loads =
       List.filter
@@ -139,17 +142,24 @@ let assign cfg ddg ~mode ~profile =
     in
     if loads = [] then ()
     else begin
-      let last_changed = ref None in
+      let last_changed = ref (-1) in
       let continue = ref true in
       (* The loop only ever lowers latencies, so the last solved II stays
          a feasible upper bound for every candidate probe — carrying it
          (and the committed candidate's II) keeps each probe's binary
          search short instead of restarting from the worst-case bound. *)
-      let cur_ii = ref (solve_with solver latencies) in
+      let cur_ii = ref (Mii.solve solver ~latency) in
       while !continue && !cur_ii > target do
         let old_ii = !cur_ii in
-        (* Best (B, delta_ii) over every load x lower-level candidate. *)
-        let best = ref None in
+        (* Best (B, delta_ii, -m, -l') over every load x lower-level
+           candidate, compared lexicographically; a tie keeps the
+           earlier candidate. *)
+        let found = ref false
+        and best_b = ref 0.0
+        and best_d_ii = ref 0.0
+        and best_m = ref 0
+        and best_l = ref 0
+        and best_ii = ref 0 in
         List.iter
           (fun m ->
             let saved = latencies.(m) in
@@ -160,8 +170,7 @@ let assign cfg ddg ~mode ~profile =
                 if l' < saved then begin
                   latencies.(m) <- l';
                   let new_ii =
-                    Mii.solve solver ~upper_feasible:old_ii
-                      ~latency:(fun i -> latencies.(i))
+                    Mii.solve solver ~upper_feasible:old_ii ~latency
                   in
                   latencies.(m) <- saved;
                   let d_ii = float_of_int (old_ii - new_ii) in
@@ -171,24 +180,34 @@ let assign cfg ddg ~mode ~profile =
                   let b =
                     if d_stall <= 1e-9 then infinity else d_ii /. d_stall
                   in
-                  let key = (b, d_ii, -m, -l') in
-                  match !best with
-                  | Some (bk, _, _, _) when bk >= key -> ()
-                  | _ -> best := Some (key, m, l', new_ii)
+                  let better =
+                    (not !found) || b > !best_b
+                    || b = !best_b
+                       && (d_ii > !best_d_ii
+                          || d_ii = !best_d_ii
+                             && (m < !best_m || (m = !best_m && l' < !best_l)))
+                  in
+                  if better then begin
+                    found := true;
+                    best_b := b;
+                    best_d_ii := d_ii;
+                    best_m := m;
+                    best_l := l';
+                    best_ii := new_ii
+                  end
                 end)
               ladder)
           loads;
-        match !best with
-        | None -> continue := false
-        | Some (_, m, l', new_ii) ->
-            latencies.(m) <- l';
-            last_changed := Some m;
-            cur_ii := new_ii
+        if not !found then continue := false
+        else begin
+          latencies.(!best_m) <- !best_l;
+          last_changed := !best_m;
+          cur_ii := !best_ii
+        end
       done;
-      match !last_changed with
-      | Some m when !cur_ii < target ->
-          restore_slack ddg ~solver latencies ~recurrence ~op:m ~target
-      | Some _ | None -> ()
+      if !last_changed >= 0 && !cur_ii < target then
+        restore_slack ddg ~solver latencies ~recurrence ~op:!last_changed
+          ~target
     end
   in
   List.iter reduce recurrences;

@@ -68,20 +68,22 @@ let policy_of_target target ~chains ~profile =
   | Interleaved { heuristic = `Ibc; chains = false } | Unified _ ->
       Cluster_heuristic.All_free
 
-let compile_factor cfg ~target ~profiler ~source ~base_profile factor =
-  (* One deterministic work unit per candidate factor: a request deadline
-     cancels the selective search between factors, never mid-schedule. *)
+type candidate = {
+  latencies : int array;
+  schedule : Schedule.t;
+  rejections : int;
+}
+
+(* The scheduling work of one candidate factor: latency assignment and
+   the clustered modulo schedule.  It is one deterministic work unit: a
+   request deadline cancels the selective search between factors, never
+   mid-schedule, and a candidate [share] hands back costs none. *)
+let schedule_candidate cfg ~target ~source ~factor (loop : Loop.t) ~profile
+    ~chains =
   Vliw_parallel.Cancel.tick ~stage:("compile " ^ source.Loop.name) 1;
-  let loop = Loop.unrolled source ~factor in
-  (* Unrolling by 1 shares the source's DDG and trip count, so its
-     profile is the base profile already in hand — re-profiling it would
-     repeat the most expensive phase of a selective compile. *)
-  let profile = if factor = 1 then base_profile else profiler loop in
+  let rejections0 = Vliw_sched.Mrt.bus_rejections () in
   let mode = mode_of_target cfg target in
-  let latencies =
-    Latency_assign.assign cfg loop.Loop.ddg ~mode ~profile
-  in
-  let chains = Chains.build loop.Loop.ddg in
+  let latencies = Latency_assign.assign cfg loop.Loop.ddg ~mode ~profile in
   let policy = policy_of_target target ~chains ~profile in
   let hooks = Cluster_heuristic.hooks loop.Loop.ddg policy in
   match
@@ -96,40 +98,50 @@ let compile_factor cfg ~target ~profiler ~source ~base_profile factor =
         (Scheduling_failed
            (Printf.sprintf "loop %s, unroll factor %d" source.Loop.name factor))
   | Some schedule ->
-      let estimated_cycles =
-        Unroll_select.estimated_cycles ~trip_count:loop.Loop.trip_count
-          ~ii:schedule.Schedule.ii
-          ~stage_count:(Schedule.stage_count schedule)
-      in
       {
-        source;
-        target;
-        unroll_factor = factor;
-        loop;
-        profile;
         latencies;
-        chains;
         schedule;
-        estimated_cycles;
-        considered = [];
-        bus_window_rejections = 0;
+        rejections = Vliw_sched.Mrt.bus_rejections () - rejections0;
       }
 
-let compile cfg ~target ~strategy ~profiler source =
-  (* Delta of the per-domain bus-window rejection counter around the
-     WHOLE selective search — every candidate factor, every II attempt,
-     every latency-assignment probe.  Zero means the search never
-     branched on the bus count, so the result is provably identical
-     under any larger [n_reg_buses] (see Mrt.bus_rejections); the
-     design-space sweep prunes on exactly this. *)
-  let rejections0 = Vliw_sched.Mrt.bus_rejections () in
+let compile_factor cfg ~target ~profiler ~share ~source ~base_profile factor =
+  let loop = Loop.unrolled source ~factor in
+  (* Unrolling by 1 shares the source's DDG and trip count, so its
+     profile is the base profile already in hand — re-profiling it would
+     repeat the most expensive phase of a selective compile. *)
+  let profile = if factor = 1 then base_profile else profiler loop in
+  let chains = Chains.build loop.Loop.ddg in
+  let c =
+    share ~factor (fun () ->
+        schedule_candidate cfg ~target ~source ~factor loop ~profile ~chains)
+  in
+  {
+    source;
+    target;
+    unroll_factor = factor;
+    loop;
+    profile;
+    latencies = c.latencies;
+    chains;
+    schedule = c.schedule;
+    estimated_cycles =
+      Unroll_select.estimated_cycles ~trip_count:loop.Loop.trip_count
+        ~ii:c.schedule.Schedule.ii
+        ~stage_count:(Schedule.stage_count c.schedule);
+    considered = [];
+    bus_window_rejections = c.rejections;
+  }
+
+let compile_shared cfg ~target ~strategy ~profiler ~share source =
   let base_profile = profiler source in
   let factors =
     Unroll_select.candidate_factors cfg source.Loop.ddg ~profile:base_profile
       strategy
   in
   let candidates =
-    List.map (compile_factor cfg ~target ~profiler ~source ~base_profile) factors
+    List.map
+      (compile_factor cfg ~target ~profiler ~share ~source ~base_profile)
+      factors
   in
   match candidates with
   | [] -> raise (Scheduling_failed source.Loop.name)
@@ -147,9 +159,18 @@ let compile cfg ~target ~strategy ~profiler source =
           best with
           considered =
             List.map (fun c -> (c.unroll_factor, c.estimated_cycles)) candidates;
+          (* Every bus-window rejection of the whole selective search:
+             each candidate's own count, whether it was scheduled here
+             or shared. *)
           bus_window_rejections =
-            Vliw_sched.Mrt.bus_rejections () - rejections0;
+            List.fold_left (fun acc c -> acc + c.bus_window_rejections) 0
+              candidates;
         }
       in
       !check_hook cfg best;
       best
+
+let compile cfg ~target ~strategy ~profiler source =
+  compile_shared cfg ~target ~strategy ~profiler
+    ~share:(fun ~factor:_ schedule -> schedule ())
+    source

@@ -33,12 +33,16 @@ type compiled = {
           outside {!compile} (e.g. for a single forced factor). *)
   bus_window_rejections : int;
       (** How many register-bus window probes the whole selective search
-          rejected ({!Vliw_sched.Mrt.bus_rejections} delta across every
-          candidate factor and II attempt).  Zero proves the schedule is
-          byte-identical under any larger [n_reg_buses] — the bus check
-          is the pipeline's only reader of the bus count — which is the
-          design-space sweep's sound pruning condition.  Zero (vacuously)
-          when the record was built outside {!compile}. *)
+          rejected: the sum over every candidate factor of its
+          {!candidate} [rejections], each the
+          {!Vliw_sched.Mrt.bus_rejections} delta across that
+          candidate's II attempts.  A shared candidate contributes the
+          count it was scheduled with, so the sum does not depend on
+          what was shared.  Zero proves the schedule is byte-identical
+          under any larger [n_reg_buses] — the bus check is the
+          pipeline's only reader of the bus count — which is the
+          design-space sweep's sound pruning condition.  Zero
+          (vacuously) when the record was built outside {!compile}. *)
 }
 
 exception Scheduling_failed of string
@@ -66,5 +70,37 @@ val compile :
   profiler:(Vliw_ir.Loop.t -> Profile.t) ->
   Vliw_ir.Loop.t ->
   compiled
-(** @raise Scheduling_failed if no candidate factor schedules (does not
+(** {!compile_shared} that schedules every candidate itself.
+    @raise Scheduling_failed if no candidate factor schedules (does not
     happen for well-formed loops — the engine escalates the II). *)
+
+type candidate = {
+  latencies : int array;
+  schedule : Vliw_sched.Schedule.t;
+  rejections : int;
+      (** bus-window rejections of this candidate's schedule search *)
+}
+(** What scheduling one unrolled candidate produces: everything of a
+    {!compiled} that the unrolled loop, its profile and its chains do
+    not determine cheaply.  It depends on the source loop, the factor,
+    the target, the profile and the configuration — not on the unroll
+    strategy, which only picks the factors. *)
+
+val compile_shared :
+  Vliw_arch.Config.t ->
+  target:target ->
+  strategy:Unroll_select.strategy ->
+  profiler:(Vliw_ir.Loop.t -> Profile.t) ->
+  share:(factor:int -> (unit -> candidate) -> candidate) ->
+  Vliw_ir.Loop.t ->
+  compiled
+(** The selective search with the scheduling of each candidate factor
+    handed to [share ~factor schedule]: [share] returns [schedule ()]
+    (latency assignment and {!Vliw_sched.Engine.schedule}, one
+    {!Vliw_parallel.Cancel} work unit), or a candidate the same
+    [schedule] produced before for this source loop, factor, target and
+    configuration — the caller keys and stores them
+    ({!Vliw_analysis.Context} shares them across unroll strategies).
+    Unrolling, profiling and chain building run either way, so the
+    result is the same whatever [share] reuses.
+    @raise Scheduling_failed as {!compile}. *)

@@ -30,32 +30,34 @@ let max_witnesses = 16
 let solver ddg ~nodes =
   let node_arr = Array.of_list nodes in
   let n = Array.length node_arr in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) node_arr;
-  let edges =
-    List.filter
-      (fun (e : Edge.t) ->
-        Hashtbl.mem index e.src && Hashtbl.mem index e.dst)
-      (Ddg.edges ddg)
+  (* dense index per original id, -1 outside the recurrence *)
+  let index = Array.make (Ddg.n_ops ddg) (-1) in
+  Array.iteri (fun i v -> index.(v) <- i) node_arr;
+  let inside (e : Edge.t) = index.(e.src) >= 0 && index.(e.dst) >= 0 in
+  let m =
+    List.fold_left (fun m e -> if inside e then m + 1 else m) 0 (Ddg.edges ddg)
   in
-  let m = List.length edges in
   let srcs = Array.make m 0
   and dsts = Array.make m 0
   and lat_ops = Array.make m (-1)
   and fixed = Array.make m 0
   and dists = Array.make m 0 in
-  List.iteri
-    (fun i (e : Edge.t) ->
-      srcs.(i) <- Hashtbl.find index e.src;
-      dsts.(i) <- Hashtbl.find index e.dst;
-      dists.(i) <- e.distance;
-      match e.kind with
-      | Edge.Reg_flow -> lat_ops.(i) <- e.src
-      | Edge.Reg_anti -> fixed.(i) <- 0
-      | Edge.Reg_out | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out
-      | Edge.Mem_unresolved ->
-          fixed.(i) <- 1)
-    edges;
+  let i = ref 0 in
+  List.iter
+    (fun (e : Edge.t) ->
+      if inside e then begin
+        srcs.(!i) <- index.(e.src);
+        dsts.(!i) <- index.(e.dst);
+        dists.(!i) <- e.distance;
+        (match e.kind with
+        | Edge.Reg_flow -> lat_ops.(!i) <- e.src
+        | Edge.Reg_anti -> fixed.(!i) <- 0
+        | Edge.Reg_out | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out
+        | Edge.Mem_unresolved ->
+            fixed.(!i) <- 1);
+        incr i
+      end)
+    (Ddg.edges ddg);
   let scratch () = Array.make (max 1 n) 0 in
   { n; nodes = node_arr; srcs; dsts; lat_ops; fixed; dists;
     dist = scratch (); pred = scratch (); mark = scratch (); witnesses = [] }
@@ -65,7 +67,9 @@ let edge_lat s ~latency i =
 
 let cycle_lat c ~latency =
   let l = ref c.c_fixed in
-  Array.iter (fun op -> l := !l + latency op) c.c_ops;
+  for i = 0 to Array.length c.c_ops - 1 do
+    l := !l + latency c.c_ops.(i)
+  done;
   !l
 
 (* The cycle through dense node [v] in the pred graph, read off the
@@ -83,25 +87,24 @@ let cycle_through s v =
 
 (* A cycle of the pred graph, if any: walk pred edges from each
    unvisited node, stamping the walk's nodes with its start; meeting the
-   current stamp again closes a cycle. *)
+   current stamp again closes a cycle.  [cycle_node] answers the node
+   the walk closed on, or -1. *)
+let rec cycle_node s start v =
+  if s.mark.(v) = start then v
+  else if s.mark.(v) >= 0 || s.pred.(v) < 0 then -1
+  else begin
+    s.mark.(v) <- start;
+    cycle_node s start s.srcs.(s.pred.(v))
+  end
+
 let pred_cycle s =
   Array.fill s.mark 0 s.n (-1);
-  let rec walk start v =
-    if s.mark.(v) = start then Some v
-    else if s.mark.(v) >= 0 || s.pred.(v) < 0 then None
-    else begin
-      s.mark.(v) <- start;
-      walk start s.srcs.(s.pred.(v))
-    end
-  in
-  let rec from start =
-    if start >= s.n then None
-    else
-      match walk start start with
-      | Some v -> Some (cycle_through s v)
-      | None -> from (start + 1)
-  in
-  from 0
+  let found = ref (-1) and start = ref 0 in
+  while !found < 0 && !start < s.n do
+    found := cycle_node s !start !start;
+    incr start
+  done;
+  if !found < 0 then None else Some (cycle_through s !found)
 
 type outcome = Converged | Witness of cycle | Diverged
 
@@ -118,7 +121,8 @@ let longest_paths s ~latency ~ii =
   Array.fill s.dist 0 s.n 0;
   Array.fill s.pred 0 s.n (-1);
   let m = Array.length s.srcs in
-  let rec round r =
+  let outcome = ref Diverged and running = ref true and r = ref 1 in
+  while !running do
     let changed = ref false in
     for i = 0 to m - 1 do
       let cand = s.dist.(s.srcs.(i)) + edge_lat s ~latency i - (ii * s.dists.(i)) in
@@ -128,13 +132,26 @@ let longest_paths s ~latency ~ii =
         changed := true
       end
     done;
-    if not !changed then Converged
-    else
+    if not !changed then begin
+      outcome := Converged;
+      running := false
+    end
+    else begin
       match pred_cycle s with
-      | Some c when cycle_lat c ~latency > ii * c.c_dist -> Witness c
-      | Some _ | None -> if r > s.n then Diverged else round (r + 1)
-  in
-  round 1
+      | Some c when cycle_lat c ~latency > ii * c.c_dist ->
+          outcome := Witness c;
+          running := false
+      | Some _ | None -> if !r > s.n then running := false else incr r
+    end
+  done;
+  !outcome
+
+let ceiling s ~latency =
+  let c = ref 1 in
+  for i = 0 to s.n - 1 do
+    c := !c + max 1 (latency s.nodes.(i))
+  done;
+  !c
 
 let remember s c =
   s.witnesses <- c :: List.filteri (fun i _ -> i < max_witnesses - 1) s.witnesses
@@ -148,8 +165,13 @@ let cycle_ii c ~latency =
   else if lat > 0 then raise Infeasible
   else 1
 
+let rec witnesses_allow ~latency ~ii = function
+  | [] -> true
+  | c :: rest ->
+      cycle_lat c ~latency <= ii * c.c_dist && witnesses_allow ~latency ~ii rest
+
 let solve_feasible s ~latency ~ii =
-  List.for_all (fun c -> cycle_lat c ~latency <= ii * c.c_dist) s.witnesses
+  witnesses_allow ~latency ~ii s.witnesses
   &&
   match longest_paths s ~latency ~ii with
   | Converged -> true
@@ -158,32 +180,35 @@ let solve_feasible s ~latency ~ii =
       false
   | Diverged -> false
 
+(* The best lower bound the kept witnesses prove under [latency]. *)
+let rec witness_floor ~latency acc = function
+  | [] -> acc
+  | c :: rest ->
+      let ii = cycle_ii c ~latency in
+      witness_floor ~latency (if ii > acc then ii else acc) rest
+
 (* Every II below the climb's current value is refuted by some witness
    cycle (or by a diverged run), and the climb stops at the first II a
    run proves feasible — so the answer is the minimal feasible II,
    certified from both sides.  Each witness lifts the climb strictly
-   above the II it refuted.  Without a known-feasible cap, the
-   worst-case bound (every simple cycle of distance >= 1 has latency
-   below it) stands in: still infeasible there means only a
+   above the II it refuted.  Without a known-feasible cap ([upper] =
+   max_int), the worst-case bound (every simple cycle of distance >= 1
+   has latency below it) stands in: still infeasible there means only a
    zero-distance positive cycle is left. *)
-let solve ?upper_feasible s ~latency =
-  let ceiling () =
-    Array.fold_left (fun acc v -> acc + max 1 (latency v)) 1 s.nodes
-  in
-  let rec climb ii =
-    match upper_feasible with
-    | Some upper when ii >= upper -> upper
-    | _ -> (
-        match longest_paths s ~latency ~ii with
-        | Converged -> ii
-        | Witness c ->
-            remember s c;
-            climb (cycle_ii c ~latency)
-        | Diverged ->
-            if upper_feasible = None && ii >= ceiling () then raise Infeasible;
-            climb (ii + 1))
-  in
-  climb (List.fold_left (fun acc c -> max acc (cycle_ii c ~latency)) 1 s.witnesses)
+let rec climb s ~latency ~upper ii =
+  if ii >= upper then upper
+  else
+    match longest_paths s ~latency ~ii with
+    | Converged -> ii
+    | Witness c ->
+        remember s c;
+        climb s ~latency ~upper (cycle_ii c ~latency)
+    | Diverged ->
+        if upper = max_int && ii >= ceiling s ~latency then raise Infeasible;
+        climb s ~latency ~upper (ii + 1)
+
+let solve ?(upper_feasible = max_int) s ~latency =
+  climb s ~latency ~upper:upper_feasible (witness_floor ~latency 1 s.witnesses)
 
 let feasible ddg ~latency ~nodes ~ii =
   solve_feasible (solver ddg ~nodes) ~latency ~ii

@@ -15,23 +15,6 @@ type hooks = {
 let default_hooks =
   { reset = ignore; choice = (fun _ -> Free); on_scheduled = (fun ~op:_ ~cluster:_ -> ()) }
 
-(* State of one II attempt. *)
-type attempt = {
-  cfg : Config.t;
-  ddg : Ddg.t;
-  latency : int -> int;
-  ii : int;
-  mrt : Mrt.t;
-  start : int array;  (* may be negative until normalization *)
-  cluster : int array;  (* -1 = unscheduled *)
-  mutable copies : Schedule.copy list;
-  copy_times : int list array;
-      (* start cycles of the copies of [src_op] into [to_cluster], at
-         [src_op * n_clusters + to_cluster] *)
-  mem_component : int array;  (* -1 for non-memory ops *)
-  component_cluster : int array;  (* -1 = not yet pinned *)
-}
-
 (* Memory-dependence components (the paper's chains): all their members
    must share a cluster, and two members may only be connected through a
    yet-unscheduled third, so the grouping must be known up-front — an
@@ -67,250 +50,498 @@ let memory_components ddg =
   done;
   (comp, !next)
 
-let scheduled a v = a.cluster.(v) >= 0
+(* The loop's dependence edges as flat per-node ranges, built once per
+   schedule: [pred_*] at [pred_off.(v) .. pred_off.(v+1) - 1] hold v's
+   incoming edges and [succ_*] its outgoing ones, each in [Ddg.preds] /
+   [Ddg.succs] order, with the edge's scheduling latency under the
+   schedule's latencies.  The attempt walks them with plain loops. *)
+type graph = {
+  n : int;
+  lat : int array;  (* assigned latency per operation *)
+  fu : Opcode.fu_class array;
+  pred_off : int array;
+  pred_src : int array;
+  pred_kind : Edge.kind array;
+  pred_dist : int array;
+  pred_lat : int array;
+  succ_off : int array;
+  succ_dst : int array;
+  succ_kind : Edge.kind array;
+  succ_dist : int array;
+  succ_lat : int array;
+}
 
-let copy_key a ~src ~to_cluster = (src * a.cfg.Config.n_clusters) + to_cluster
-let existing_copies a ~src ~to_cluster = a.copy_times.(copy_key a ~src ~to_cluster)
+let flatten ddg ~latency =
+  let n = Ddg.n_ops ddg in
+  let lat = Array.init n latency in
+  let ranges adj endpoint =
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v) + List.length (adj v)
+    done;
+    let m = off.(n) in
+    let node = Array.make m 0
+    and kind = Array.make m Edge.Reg_flow
+    and dist = Array.make m 0
+    and elat = Array.make m 0 in
+    for v = 0 to n - 1 do
+      List.iteri
+        (fun k (e : Edge.t) ->
+          let i = off.(v) + k in
+          node.(i) <- endpoint e;
+          kind.(i) <- e.kind;
+          dist.(i) <- e.distance;
+          elat.(i) <- Ddg.effective_latency ~latency e)
+        (adj v)
+    done;
+    (off, node, kind, dist, elat)
+  in
+  let pred_off, pred_src, pred_kind, pred_dist, pred_lat =
+    ranges (Ddg.preds ddg) (fun e -> e.Edge.src)
+  and succ_off, succ_dst, succ_kind, succ_dist, succ_lat =
+    ranges (Ddg.succs ddg) (fun e -> e.Edge.dst)
+  in
+  {
+    n;
+    lat;
+    fu = Array.map (fun o -> Opcode.fu_class o.Operation.opcode) (Ddg.ops ddg);
+    pred_off;
+    pred_src;
+    pred_kind;
+    pred_dist;
+    pred_lat;
+    succ_off;
+    succ_dst;
+    succ_kind;
+    succ_dist;
+    succ_lat;
+  }
 
-let record_copy a (cp : Schedule.copy) =
-  a.copies <- cp :: a.copies;
-  let key = copy_key a ~src:cp.src_op ~to_cluster:cp.to_cluster in
-  a.copy_times.(key) <- cp.start :: a.copy_times.(key)
+(* The order in which one placement reserves the copies from the placed
+   operation to its consumer clusters: by [copy_bucket] ascending and,
+   within a bucket, the destination met first among the successors
+   last.  This is the visit order of the [Hashtbl] the scheduler once
+   collected those destinations in (16 buckets, newest binding first,
+   which holds up to 32 destinations); reserving the copies in any
+   other order changes which bus and issue slots they take, and so the
+   schedules. *)
+let copy_bucket c = Hashtbl.hash c land 15
 
-(* Earliest start of [v] in cluster [c] given its scheduled predecessors. *)
-let window a v c =
-  let copy_lat = a.cfg.Config.reg_copy_latency in
+(* Scheduling state, allocated once per schedule and reset for every II
+   attempt.  Besides the placement itself it holds the scratch of the
+   inner loops — the placement being tried, the candidate clusters and
+   the last dependence window — so probing a slot allocates nothing. *)
+type state = {
+  cfg : Config.t;
+  g : graph;
+  nc : int;
+  copy_lat : int;
+  mutable ii : int;
+  mrt : Mrt.t;
+  start : int array;  (* may be negative until normalization *)
+  cluster : int array;  (* -1 = unscheduled *)
+  first_copy : int array;
+      (* earliest start cycle of a committed copy of [src_op] into
+         [to_cluster], at [src_op * nc + to_cluster]; max_int = none *)
+  mem_component : int array;  (* -1 for non-memory ops *)
+  component_cluster : int array;  (* -1 = not yet pinned *)
+  (* committed copies, in commit order *)
+  mutable n_copies : int;
+  mutable copies : int array;  (* [src; from; to; start] per copy *)
+  (* copies reserved by the placement being tried, in reservation order *)
+  mutable n_pending : int;
+  mutable pending : int array;
+  planned_stamp : int array;
+  planned_min : int array;
+      (* earliest pending copy of each producer, valid where
+         [planned_stamp] equals [stamp] *)
+  mutable stamp : int;
+  (* consumer clusters of the placement being tried: tightest deadline
+     (max_int = not a destination) and first-met order *)
+  dest_deadline : int array;
+  dest_order : int array;
+  mutable n_dests : int;
+  buckets : int array;  (* [copy_bucket] per cluster *)
+  bucket_order : int array;  (* the distinct buckets, ascending *)
+  (* candidate clusters of the node being placed, in preference order *)
+  cand : int array;
+  cand_cost : int array;
+  cand_load : int array;
+  mutable n_cand : int;
+  (* the last [window] *)
+  mutable w_estart : int;
+  mutable w_lstart : int;
+  mutable w_has_pred : bool;
+  mutable w_has_succ : bool;
+}
+
+let create_state cfg g ~components ~ii =
+  let n = g.n and nc = cfg.Config.n_clusters in
+  let mem_component, n_components = components in
+  let buckets = Array.init nc copy_bucket in
+  {
+    cfg;
+    g;
+    nc;
+    copy_lat = cfg.Config.reg_copy_latency;
+    ii;
+    mrt = Mrt.create cfg ~ii;
+    start = Array.make n 0;
+    cluster = Array.make n (-1);
+    first_copy = Array.make (n * nc) max_int;
+    mem_component;
+    component_cluster = Array.make (max 1 n_components) (-1);
+    n_copies = 0;
+    copies = Array.make 64 0;
+    n_pending = 0;
+    pending = Array.make 64 0;
+    planned_stamp = Array.make n 0;
+    planned_min = Array.make n 0;
+    stamp = 0;
+    dest_deadline = Array.make nc max_int;
+    dest_order = Array.make nc 0;
+    n_dests = 0;
+    buckets;
+    bucket_order = Array.of_list (List.sort_uniq Int.compare (Array.to_list buckets));
+    cand = Array.make nc 0;
+    cand_cost = Array.make nc 0;
+    cand_load = Array.make nc 0;
+    n_cand = 0;
+    w_estart = 0;
+    w_lstart = 0;
+    w_has_pred = false;
+    w_has_succ = false;
+  }
+
+let reset_state st ~ii =
+  st.ii <- ii;
+  Mrt.reset st.mrt ~ii;
+  Array.fill st.start 0 st.g.n 0;
+  Array.fill st.cluster 0 st.g.n (-1);
+  Array.fill st.first_copy 0 (Array.length st.first_copy) max_int;
+  Array.fill st.component_cluster 0 (Array.length st.component_cluster) (-1);
+  st.n_copies <- 0
+
+let scheduled st v = st.cluster.(v) >= 0
+
+(* Append a copy's four fields to a growable buffer of [len] copies. *)
+let push_copy buf len ~src ~from ~into ~start =
+  let buf =
+    if 4 * (len + 1) <= Array.length buf then buf
+    else begin
+      let bigger = Array.make (2 * Array.length buf) 0 in
+      Array.blit buf 0 bigger 0 (4 * len);
+      bigger
+    end
+  in
+  let i = 4 * len in
+  buf.(i) <- src;
+  buf.(i + 1) <- from;
+  buf.(i + 2) <- into;
+  buf.(i + 3) <- start;
+  buf
+
+let add_pending st ~src ~from ~into ~start =
+  st.pending <- push_copy st.pending st.n_pending ~src ~from ~into ~start;
+  st.n_pending <- st.n_pending + 1
+
+(* Commit the pending copies, newest reservation first. *)
+let commit_pending st =
+  for j = st.n_pending - 1 downto 0 do
+    let i = 4 * j in
+    let src = st.pending.(i) and into = st.pending.(i + 2) in
+    let start = st.pending.(i + 3) in
+    st.copies <-
+      push_copy st.copies st.n_copies ~src ~from:st.pending.(i + 1) ~into ~start;
+    st.n_copies <- st.n_copies + 1;
+    let key = (src * st.nc) + into in
+    if start < st.first_copy.(key) then st.first_copy.(key) <- start
+  done
+
+(* The dependence window of [v] in cluster [c] given its scheduled
+   neighbours, into [w_*]: earliest start, latest start, and whether any
+   predecessor / successor constrains it. *)
+let window st v c =
+  let g = st.g and copy_lat = st.copy_lat in
   let estart = ref 0
   and lstart = ref max_int
   and has_pred = ref false
   and has_succ = ref false in
-  List.iter
-    (fun (e : Edge.t) ->
-      let u = e.src in
-      if scheduled a u then begin
-        let cross = a.cluster.(u) <> c in
-        match e.kind with
-        | Edge.Reg_anti | Edge.Reg_out when cross -> ()
-        | _ ->
-            has_pred := true;
-            let shift = a.ii * e.distance in
-            let base =
-              if e.kind = Edge.Reg_flow && cross then begin
-                let via_new = a.start.(u) + a.latency u + copy_lat - shift in
-                List.fold_left
-                  (fun acc s -> min acc (s + copy_lat - shift))
-                  via_new
-                  (existing_copies a ~src:u ~to_cluster:c)
-              end
-              else a.start.(u) + Ddg.effective_latency ~latency:a.latency e - shift
-            in
-            if base > !estart then estart := base
-      end)
-    (Ddg.preds a.ddg v);
-  List.iter
-    (fun (e : Edge.t) ->
-      let w = e.dst in
-      if w <> v && scheduled a w then begin
-        let cross = a.cluster.(w) <> c in
-        match e.kind with
-        | Edge.Reg_anti | Edge.Reg_out when cross -> ()
-        | _ ->
-            has_succ := true;
-            let shift = a.ii * e.distance in
-            let bound =
-              if e.kind = Edge.Reg_flow && cross then
-                a.start.(w) + shift - copy_lat - a.latency v
-              else a.start.(w) - Ddg.effective_latency ~latency:a.latency e + shift
-            in
-            if bound < !lstart then lstart := bound
-      end)
-    (Ddg.succs a.ddg v);
+  for i = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
+    let u = g.pred_src.(i) in
+    if scheduled st u then begin
+      let cross = st.cluster.(u) <> c in
+      match g.pred_kind.(i) with
+      | (Edge.Reg_anti | Edge.Reg_out) when cross -> ()
+      | kind ->
+          has_pred := true;
+          let shift = st.ii * g.pred_dist.(i) in
+          let base =
+            if kind = Edge.Reg_flow && cross then begin
+              let via_new = st.start.(u) + g.lat.(u) + copy_lat - shift in
+              let first = st.first_copy.((u * st.nc) + c) in
+              if first = max_int then via_new
+              else min via_new (first + copy_lat - shift)
+            end
+            else st.start.(u) + g.pred_lat.(i) - shift
+          in
+          if base > !estart then estart := base
+    end
+  done;
+  for i = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+    let w = g.succ_dst.(i) in
+    if w <> v && scheduled st w then begin
+      let cross = st.cluster.(w) <> c in
+      match g.succ_kind.(i) with
+      | (Edge.Reg_anti | Edge.Reg_out) when cross -> ()
+      | kind ->
+          has_succ := true;
+          let shift = st.ii * g.succ_dist.(i) in
+          let bound =
+            if kind = Edge.Reg_flow && cross then
+              st.start.(w) + shift - copy_lat - g.lat.(v)
+            else st.start.(w) - g.succ_lat.(i) + shift
+          in
+          if bound < !lstart then lstart := bound
+    end
+  done;
   (* Start cycles may be negative: the flat schedule is normalized by a
      multiple of the II once the attempt succeeds. *)
-  (!estart, !lstart, !has_pred, !has_succ)
+  st.w_estart <- !estart;
+  st.w_lstart <- !lstart;
+  st.w_has_pred <- !has_pred;
+  st.w_has_succ <- !has_succ
 
-(* Find and reserve a copy slot on [from_cluster] in [earliest..latest]. *)
-let reserve_copy_slot a ~from_cluster ~earliest ~latest =
-  let rec scan s =
-    if s > latest then None
-    else if
-      Mrt.issue_free a.mrt ~cluster:from_cluster ~cycle:s
-      && Mrt.reg_bus_free a.mrt ~cycle:s
+(* Find and reserve a copy slot on [from_cluster] in [earliest..latest];
+   the slot's cycle, or [min_int] if there is none. *)
+let reserve_copy_slot st ~from_cluster ~earliest ~latest =
+  let found = ref min_int and s = ref earliest in
+  while !found = min_int && !s <= latest do
+    if
+      Mrt.issue_free st.mrt ~cluster:from_cluster ~cycle:!s
+      && Mrt.reg_bus_free st.mrt ~cycle:!s
     then begin
-      Mrt.reserve_issue a.mrt ~cluster:from_cluster ~cycle:s;
-      Mrt.reserve_reg_bus a.mrt ~cycle:s;
-      Some s
+      Mrt.reserve_issue st.mrt ~cluster:from_cluster ~cycle:!s;
+      Mrt.reserve_reg_bus st.mrt ~cycle:!s;
+      found := !s
     end
-    else scan (s + 1)
-  in
-  if earliest > latest then None else scan earliest
+    else incr s
+  done;
+  !found
 
-exception Placement_failed
+(* Copies feeding [v] in cluster [c] at cycle [t] from cross-cluster
+   predecessors, reserved into the pending buffer.  A producer needs no
+   new copy when a committed copy already arrives in time, or a copy
+   planned by this placement meets the edge's deadline. *)
+let reserve_pred_copies st v c t =
+  let g = st.g and copy_lat = st.copy_lat in
+  let ok = ref true and i = ref g.pred_off.(v) in
+  while !ok && !i < g.pred_off.(v + 1) do
+    let u = g.pred_src.(!i) in
+    if scheduled st u && g.pred_kind.(!i) = Edge.Reg_flow && st.cluster.(u) <> c
+    then begin
+      let shift = st.ii * g.pred_dist.(!i) in
+      let deadline = t + shift - copy_lat in
+      let first = st.first_copy.((u * st.nc) + c) in
+      let reusable = first <> max_int && first + copy_lat - shift <= t in
+      let planned =
+        st.planned_stamp.(u) = st.stamp && st.planned_min.(u) <= deadline
+      in
+      if not (reusable || planned) then begin
+        let from = st.cluster.(u) in
+        let s =
+          reserve_copy_slot st ~from_cluster:from
+            ~earliest:(st.start.(u) + g.lat.(u))
+            ~latest:deadline
+        in
+        if s = min_int then ok := false
+        else begin
+          add_pending st ~src:u ~from ~into:c ~start:s;
+          if st.planned_stamp.(u) <> st.stamp then begin
+            st.planned_stamp.(u) <- st.stamp;
+            st.planned_min.(u) <- s
+          end
+          else if s < st.planned_min.(u) then st.planned_min.(u) <- s
+        end
+      end
+    end;
+    incr i
+  done;
+  !ok
 
-(* Try to place [v] in cluster [c] at cycle [t]; returns the copies to
-   commit.  The MRT is mutated; the caller restores it on failure. *)
-let try_place a v c t =
-  let copy_lat = a.cfg.Config.reg_copy_latency in
-  let o = Ddg.op a.ddg v in
-  let fu = Opcode.fu_class o.Operation.opcode in
-  if not (Mrt.fu_free a.mrt ~cluster:c ~fu ~cycle:t) then raise Placement_failed;
-  let new_copies = ref [] in
-  (* Copies feeding v from cross-cluster predecessors. *)
-  List.iter
-    (fun (e : Edge.t) ->
-      let u = e.src in
-      if scheduled a u && e.kind = Edge.Reg_flow && a.cluster.(u) <> c then begin
-        let shift = a.ii * e.distance in
-        let deadline = t + shift - copy_lat in
-        let reusable ss =
-          List.exists (fun s -> s + copy_lat - shift <= t) ss
+(* Copies from [v] to already-scheduled cross-cluster consumers: one per
+   destination cluster, placed to meet its tightest consumer, reserved
+   in the {!copy_bucket} order. *)
+let reserve_succ_copies st v c t =
+  let g = st.g in
+  for i = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+    let w = g.succ_dst.(i) in
+    if
+      w <> v && scheduled st w && g.succ_kind.(i) = Edge.Reg_flow
+      && st.cluster.(w) <> c
+    then begin
+      let deadline = st.start.(w) + (st.ii * g.succ_dist.(i)) - st.copy_lat in
+      let cw = st.cluster.(w) in
+      if st.dest_deadline.(cw) = max_int then begin
+        st.dest_order.(st.n_dests) <- cw;
+        st.n_dests <- st.n_dests + 1
+      end;
+      if deadline < st.dest_deadline.(cw) then st.dest_deadline.(cw) <- deadline
+    end
+  done;
+  let ok = ref true and b = ref 0 in
+  while !ok && !b < Array.length st.bucket_order do
+    let bucket = st.bucket_order.(!b) in
+    let j = ref (st.n_dests - 1) in
+    while !ok && !j >= 0 do
+      let dest = st.dest_order.(!j) in
+      if st.buckets.(dest) = bucket then begin
+        let s =
+          reserve_copy_slot st ~from_cluster:c ~earliest:(t + g.lat.(v))
+            ~latest:st.dest_deadline.(dest)
         in
-        let planned =
-          List.exists
-            (fun cp ->
-              cp.Schedule.src_op = u && cp.Schedule.to_cluster = c
-              && cp.Schedule.start <= deadline)
-            !new_copies
-        in
-        if not (reusable (existing_copies a ~src:u ~to_cluster:c) || planned)
-        then
-          match
-            reserve_copy_slot a ~from_cluster:a.cluster.(u)
-              ~earliest:(a.start.(u) + a.latency u)
-              ~latest:deadline
-          with
-          | Some s ->
-              new_copies :=
-                { Schedule.src_op = u; from_cluster = a.cluster.(u);
-                  to_cluster = c; start = s }
-                :: !new_copies
-          | None -> raise Placement_failed
-      end)
-    (Ddg.preds a.ddg v);
-  (* Copies from v to already-scheduled cross-cluster consumers: one per
-     destination cluster, placed to meet the tightest consumer. *)
-  let dest_deadlines = Hashtbl.create 4 in
-  List.iter
-    (fun (e : Edge.t) ->
-      let w = e.dst in
-      if w <> v && scheduled a w && e.kind = Edge.Reg_flow && a.cluster.(w) <> c
-      then begin
-        let deadline = a.start.(w) + (a.ii * e.distance) - copy_lat in
-        let cw = a.cluster.(w) in
-        let cur =
-          Option.value ~default:max_int (Hashtbl.find_opt dest_deadlines cw)
-        in
-        Hashtbl.replace dest_deadlines cw (min cur deadline)
-      end)
-    (Ddg.succs a.ddg v);
-  Hashtbl.iter
-    (fun dest deadline ->
-      match
-        reserve_copy_slot a ~from_cluster:c ~earliest:(t + a.latency v)
-          ~latest:deadline
-      with
-      | Some s ->
-          new_copies :=
-            { Schedule.src_op = v; from_cluster = c; to_cluster = dest;
-              start = s }
-            :: !new_copies
-      | None -> raise Placement_failed)
-    dest_deadlines;
+        if s = min_int then ok := false
+        else add_pending st ~src:v ~from:c ~into:dest ~start:s
+      end;
+      decr j
+    done;
+    incr b
+  done;
+  for j = 0 to st.n_dests - 1 do
+    st.dest_deadline.(st.dest_order.(j)) <- max_int
+  done;
+  st.n_dests <- 0;
+  !ok
+
+(* Try to place [v] in cluster [c] at cycle [t], reserving its FU slot
+   and the copies it needs (left in the pending buffer).  The MRT is
+   mutated either way; the caller restores it on failure. *)
+let try_place st v c t =
+  let fu = st.g.fu.(v) in
+  st.n_pending <- 0;
+  st.stamp <- st.stamp + 1;
+  Mrt.fu_free st.mrt ~cluster:c ~fu ~cycle:t
+  && reserve_pred_copies st v c t
+  && reserve_succ_copies st v c t
   (* A copy reserved above may have taken the issue slot that was free
      on entry; re-check before committing. *)
-  if not (Mrt.fu_free a.mrt ~cluster:c ~fu ~cycle:t) then
-    raise Placement_failed;
-  Mrt.reserve_fu a.mrt ~cluster:c ~fu ~cycle:t;
-  !new_copies
+  && Mrt.fu_free st.mrt ~cluster:c ~fu ~cycle:t
+  && begin
+       Mrt.reserve_fu st.mrt ~cluster:c ~fu ~cycle:t;
+       true
+     end
 
 (* Members of a memory-dependence component must share the cluster; the
    component is pinned by its first scheduled member. *)
-let mem_cluster_ok a v c =
-  let comp = a.mem_component.(v) in
+let mem_cluster_ok st v c =
+  let comp = st.mem_component.(v) in
   comp < 0
-  || a.component_cluster.(comp) < 0
-  || a.component_cluster.(comp) = c
+  || st.component_cluster.(comp) < 0
+  || st.component_cluster.(comp) = c
 
-let comm_cost a v c =
+let comm_cost st v c =
+  let g = st.g in
   let cost = ref 0 in
-  List.iter
-    (fun (e : Edge.t) ->
-      if
-        e.kind = Edge.Reg_flow && scheduled a e.src && a.cluster.(e.src) <> c
-        && existing_copies a ~src:e.src ~to_cluster:c = []
-      then incr cost)
-    (Ddg.preds a.ddg v);
-  List.iter
-    (fun (e : Edge.t) ->
-      if
-        e.kind = Edge.Reg_flow && e.dst <> v && scheduled a e.dst
-        && a.cluster.(e.dst) <> c
-      then incr cost)
-    (Ddg.succs a.ddg v);
+  for i = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
+    let u = g.pred_src.(i) in
+    if
+      g.pred_kind.(i) = Edge.Reg_flow && scheduled st u && st.cluster.(u) <> c
+      && st.first_copy.((u * st.nc) + c) = max_int
+    then incr cost
+  done;
+  for i = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+    let w = g.succ_dst.(i) in
+    if
+      g.succ_kind.(i) = Edge.Reg_flow && w <> v && scheduled st w
+      && st.cluster.(w) <> c
+    then incr cost
+  done;
   !cost
 
-let candidate_clusters a hooks v ~allow_cross_cluster_mem =
-  let all = List.init a.cfg.Config.n_clusters (fun c -> c) in
-  let feasible c = allow_cross_cluster_mem || mem_cluster_ok a v c in
+(* The clusters [v] may go to, into [cand], in preference order: a
+   [Forced] node's own cluster, or every feasible cluster by (new
+   communications, load, id). *)
+let candidate_clusters st (hooks : hooks) v ~allow_cross_cluster_mem =
+  let feasible c = allow_cross_cluster_mem || mem_cluster_ok st v c in
+  st.n_cand <- 0;
   match hooks.choice v with
-  | Forced c -> if feasible c then [ c ] else []
+  | Forced c ->
+      if feasible c then begin
+        st.cand.(0) <- c;
+        st.n_cand <- 1
+      end
   | Free ->
-      all
-      |> List.filter feasible
-      |> List.map (fun c -> (comm_cost a v c, Mrt.cluster_load a.mrt c, c))
-      |> List.sort (fun (cost1, load1, c1) (cost2, load2, c2) ->
-             if cost1 <> cost2 then Int.compare cost1 cost2
-             else if load1 <> load2 then Int.compare load1 load2
-             else Int.compare c1 c2)
-      |> List.map (fun (_, _, c) -> c)
+      for c = 0 to st.nc - 1 do
+        if feasible c then begin
+          let cost = comm_cost st v c and load = Mrt.cluster_load st.mrt c in
+          (* insertion into the sorted prefix; ids ascend, so an equal
+             (cost, load) key stays behind *)
+          let j = ref st.n_cand in
+          while
+            !j > 0
+            && (st.cand_cost.(!j - 1) > cost
+               || (st.cand_cost.(!j - 1) = cost && st.cand_load.(!j - 1) > load))
+          do
+            st.cand.(!j) <- st.cand.(!j - 1);
+            st.cand_cost.(!j) <- st.cand_cost.(!j - 1);
+            st.cand_load.(!j) <- st.cand_load.(!j - 1);
+            decr j
+          done;
+          st.cand.(!j) <- c;
+          st.cand_cost.(!j) <- cost;
+          st.cand_load.(!j) <- load;
+          st.n_cand <- st.n_cand + 1
+        end
+      done
 
 (* Probe up to [count] cycles starting at [first], stepping by [step]
-   (+1 ascending from estart, -1 descending from lstart).  Iterating the
-   window directly — rather than materializing a [List.init ii] list per
-   operation per II attempt — keeps the scheduler's hottest loop
-   allocation-free, and a failed probe undoes only the reservations it
-   made (back to one journal mark). *)
-let try_cycles a v c ~first ~count ~step =
-  let mark = Mrt.snapshot a.mrt in
-  let rec loop i t =
-    if i >= count then false
-    else
-      match try_place a v c t with
-      | new_copies ->
-          a.start.(v) <- t;
-          a.cluster.(v) <- c;
-          let comp = a.mem_component.(v) in
-          if comp >= 0 && a.component_cluster.(comp) < 0 then
-            a.component_cluster.(comp) <- c;
-          List.iter (record_copy a) new_copies;
-          true
-      | exception Placement_failed ->
-          Mrt.restore a.mrt mark;
-          loop (i + 1) (t + step)
-  in
-  loop 0 first
+   (+1 ascending from estart, -1 descending from lstart).  A failed
+   probe undoes only the reservations it made (back to one journal
+   mark). *)
+let try_cycles st v c ~first ~count ~step =
+  let mark = Mrt.snapshot st.mrt in
+  let placed = ref false and i = ref 0 and t = ref first in
+  while (not !placed) && !i < count do
+    if try_place st v c !t then begin
+      st.start.(v) <- !t;
+      st.cluster.(v) <- c;
+      let comp = st.mem_component.(v) in
+      if comp >= 0 && st.component_cluster.(comp) < 0 then
+        st.component_cluster.(comp) <- c;
+      commit_pending st;
+      placed := true
+    end
+    else begin
+      Mrt.restore st.mrt mark;
+      incr i;
+      t := !t + step
+    end
+  done;
+  !placed
 
-let attempt cfg ddg ~latency ~order_base ~components ~hooks
-    ~allow_cross_cluster_mem ~hoisted ~ii =
+let place st hooks v ~allow_cross_cluster_mem =
+  candidate_clusters st hooks v ~allow_cross_cluster_mem;
+  let ii = st.ii in
+  let placed = ref false and k = ref 0 in
+  while (not !placed) && !k < st.n_cand do
+    let c = st.cand.(!k) in
+    window st v c;
+    let estart = st.w_estart and lstart = st.w_lstart in
+    placed :=
+      (if not st.w_has_succ then try_cycles st v c ~first:estart ~count:ii ~step:1
+       else if not st.w_has_pred then
+         try_cycles st v c ~first:lstart ~count:ii ~step:(-1)
+       else
+         let hi = min lstart (estart + ii - 1) in
+         hi >= estart
+         && try_cycles st v c ~first:estart ~count:(hi - estart + 1) ~step:1);
+    incr k
+  done;
+  !placed
+
+let attempt st ~order_base ~hooks ~allow_cross_cluster_mem ~hoisted ~ii =
   hooks.reset ();
-  let n = Ddg.n_ops ddg in
-  let mem_component, n_components = components in
-  let mrt = Mrt.create cfg ~ii in
-  let a =
-    {
-      cfg;
-      ddg;
-      latency;
-      ii;
-      mrt;
-      start = Array.make n 0;
-      cluster = Array.make n (-1);
-      copies = [];
-      copy_times = Array.make (n * cfg.Config.n_clusters) [];
-      mem_component;
-      component_cluster = Array.make (max 1 n_components) (-1);
-    }
-  in
+  reset_state st ~ii;
   let order =
     (* Wedge recovery: nodes a previous same-II attempt could not place
        are hoisted to the front, where their window is unconstrained.
@@ -319,58 +550,48 @@ let attempt cfg ddg ~latency ~order_base ~components ~hooks
     if hoisted = [] then order_base
     else hoisted @ List.filter (fun v -> not (List.mem v hoisted)) order_base
   in
-  let place v =
-    let clusters = candidate_clusters a hooks v ~allow_cross_cluster_mem in
-    List.exists
-      (fun c ->
-        let estart, lstart, has_pred, has_succ = window a v c in
-        match (has_pred, has_succ) with
-        | _, false -> try_cycles a v c ~first:estart ~count:ii ~step:1
-        | false, true -> try_cycles a v c ~first:lstart ~count:ii ~step:(-1)
-        | true, true ->
-            let hi = min lstart (estart + ii - 1) in
-            if hi < estart then false
-            else
-              try_cycles a v c ~first:estart ~count:(hi - estart + 1) ~step:1)
-      clusters
+  let rec go = function
+    | [] -> None
+    | v :: rest ->
+        if place st hooks v ~allow_cross_cluster_mem then begin
+          hooks.on_scheduled ~op:v ~cluster:st.cluster.(v);
+          go rest
+        end
+        else Some v
   in
-  let failed = ref None in
-  let ok =
-    List.for_all
-      (fun v ->
-        let placed = place v in
-        if placed then hooks.on_scheduled ~op:v ~cluster:a.cluster.(v)
-        else failed := Some v;
-        placed)
-      order
-  in
-  if not ok then Error !failed
-  else begin
-    (* Normalize: shift everything by a multiple of the II so the
-       earliest issue (operation or copy) lands in [0, II). *)
-    let earliest =
-      List.fold_left
-        (fun acc (cp : Schedule.copy) -> min acc cp.Schedule.start)
-        (Array.fold_left min max_int a.start)
-        a.copies
-    in
-    let shift =
-      if earliest >= 0 then 0 else (((-earliest) + ii - 1) / ii) * ii
-    in
-    Ok
-      {
-        Schedule.ii;
-        n_clusters = cfg.Config.n_clusters;
-        cluster = a.cluster;
-        start = Array.map (fun s -> s + shift) a.start;
-        copies =
-          List.rev_map
-            (fun (cp : Schedule.copy) ->
-              { cp with Schedule.start = cp.Schedule.start + shift })
-            a.copies
-          |> List.rev;
-      }
-  end
+  match go order with
+  | Some v -> Error v
+  | None ->
+      (* Normalize: shift everything by a multiple of the II so the
+         earliest issue (operation or copy) lands in [0, II). *)
+      let earliest = ref (Array.fold_left min max_int st.start) in
+      for j = 0 to st.n_copies - 1 do
+        earliest := min !earliest st.copies.((4 * j) + 3)
+      done;
+      let shift =
+        if !earliest >= 0 then 0 else (((- !earliest) + ii - 1) / ii) * ii
+      in
+      (* The schedule lists the copies newest first. *)
+      let copies = ref [] in
+      for j = 0 to st.n_copies - 1 do
+        let i = 4 * j in
+        copies :=
+          {
+            Schedule.src_op = st.copies.(i);
+            from_cluster = st.copies.(i + 1);
+            to_cluster = st.copies.(i + 2);
+            start = st.copies.(i + 3) + shift;
+          }
+          :: !copies
+      done;
+      Ok
+        {
+          Schedule.ii;
+          n_clusters = st.nc;
+          cluster = Array.copy st.cluster;
+          start = Array.map (fun s -> s + shift) st.start;
+          copies = !copies;
+        }
 
 let max_hoist_retries = 16
 
@@ -474,7 +695,10 @@ let schedule cfg ddg ~latency ?(hooks = default_hooks)
   let prepared = Ordering.prepare ddg ~latency in
   let mii = max (Resources.res_mii cfg ddg) (Ordering.rec_mii prepared) in
   let hi = (4 * mii) + 64 in
-  let components = memory_components ddg in
+  let st =
+    create_state cfg (flatten ddg ~latency)
+      ~components:(memory_components ddg) ~ii:(max 1 mii)
+  in
   let try_ii ii =
     (* The greedy pass can wedge on the node that closes a recurrence (a
        node scheduled after both its predecessors and successors, whose
@@ -484,12 +708,10 @@ let schedule cfg ddg ~latency ?(hooks = default_hooks)
     let order_base = Ordering.ordered prepared ddg ~latency ~ii in
     let rec retry hoisted k =
       match
-        attempt cfg ddg ~latency ~order_base ~components ~hooks
-          ~allow_cross_cluster_mem ~hoisted ~ii
+        attempt st ~order_base ~hooks ~allow_cross_cluster_mem ~hoisted ~ii
       with
       | Ok s -> Some s
-      | Error (Some v) when k < max_hoist_retries && not (List.mem v hoisted)
-        ->
+      | Error v when k < max_hoist_retries && not (List.mem v hoisted) ->
           retry (v :: hoisted) (k + 1)
       | Error _ -> None
     in

@@ -1,14 +1,17 @@
 module Config = Vliw_arch.Config
 module Opcode = Vliw_ir.Opcode
 
+(* The per-cycle arrays may be longer than the II: {!reset} keeps them
+   for a smaller II, and only slots [0, ii) are ever charged. *)
 type t = {
   cfg : Config.t;
-  ii : int;
-  int_used : int array array;  (** [cluster].(cycle) *)
-  fp_used : int array array;
-  mem_used : int array array;
-  issue_used : int array array;
-  bus_used : int array;  (** transfers holding some register bus at a cycle *)
+  mutable ii : int;
+  mutable int_used : int array array;  (** [cluster].(cycle) *)
+  mutable fp_used : int array array;
+  mutable mem_used : int array array;
+  mutable issue_used : int array array;
+  mutable bus_used : int array;
+      (** transfers holding some register bus at a cycle *)
   loads : int array;  (** issue slots per cluster, across all cycles *)
   mutable journal : int array;
       (** one packed [(kind, cluster, slot)] entry per reservation, oldest
@@ -26,18 +29,18 @@ let k_issue = 3
 let k_bus = 4
 let n_kinds = 5
 
+let per_cluster (cfg : Config.t) ~ii =
+  Array.init cfg.Config.n_clusters (fun _ -> Array.make ii 0)
+
 let create (cfg : Config.t) ~ii =
   if ii < 1 then invalid_arg "Mrt.create: ii < 1";
-  let per_cluster () =
-    Array.init cfg.Config.n_clusters (fun _ -> Array.make ii 0)
-  in
   {
     cfg;
     ii;
-    int_used = per_cluster ();
-    fp_used = per_cluster ();
-    mem_used = per_cluster ();
-    issue_used = per_cluster ();
+    int_used = per_cluster cfg ~ii;
+    fp_used = per_cluster cfg ~ii;
+    mem_used = per_cluster cfg ~ii;
+    issue_used = per_cluster cfg ~ii;
     bus_used = Array.make ii 0;
     loads = Array.make cfg.Config.n_clusters 0;
     journal = Array.make 64 0;
@@ -179,3 +182,18 @@ let restore t mark =
       t.loads.(cluster) <- t.loads.(cluster) - 1
     end
   done
+
+(* Undoing the whole journal leaves every counter at zero, so a new II
+   that fits the arrays only needs the new modulus; a larger one gets
+   fresh arrays. *)
+let reset t ~ii =
+  if ii < 1 then invalid_arg "Mrt.reset: ii < 1";
+  restore t 0;
+  if ii > Array.length t.bus_used then begin
+    t.int_used <- per_cluster t.cfg ~ii;
+    t.fp_used <- per_cluster t.cfg ~ii;
+    t.mem_used <- per_cluster t.cfg ~ii;
+    t.issue_used <- per_cluster t.cfg ~ii;
+    t.bus_used <- Array.make ii 0
+  end;
+  t.ii <- ii

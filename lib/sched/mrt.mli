@@ -11,6 +11,13 @@ type t
 
 val create : Vliw_arch.Config.t -> ii:int -> t
 
+val reset : t -> ii:int -> unit
+(** Empty the table for a new attempt at [ii], as {!create} would make
+    it, reusing its arrays when they are long enough: the scheduler
+    keeps one table across its II attempts.  O(reservations made)
+    without allocation unless [ii] exceeds every II the table has held.
+    @raise Invalid_argument if [ii < 1]. *)
+
 val fu_free : t -> cluster:int -> fu:Vliw_ir.Opcode.fu_class -> cycle:int -> bool
 (** FU of the class and an issue slot both available at [cycle mod II]. *)
 

@@ -4,30 +4,40 @@ module Scc = Vliw_ir.Scc
 module Mii = Vliw_ir.Mii
 
 (* Longest-path relaxation with weights [lat - ii*distance], clamped at 0.
-   Converges in <= n rounds when ii >= RecMII (no positive cycles). *)
+   Converges in <= n rounds when ii >= RecMII (no positive cycles).  The
+   edge walks are top-level functions over the adjacency lists, so a
+   round allocates nothing. *)
+let weight ~latency ~ii e = Ddg.effective_latency ~latency e - (ii * e.Edge.distance)
+
+(* One pass over [v]'s outgoing edges for [estart] (or, [forward =
+   false], its incoming edges for [height]); true if any value grew. *)
+let rec relax_edges dist ~latency ~ii ~forward changed = function
+  | [] -> changed
+  | (e : Edge.t) :: rest ->
+      let from = if forward then e.src else e.dst
+      and into = if forward then e.dst else e.src in
+      let cand = dist.(from) + weight ~latency ~ii e in
+      let grew = cand > dist.(into) in
+      if grew then dist.(into) <- cand;
+      relax_edges dist ~latency ~ii ~forward (changed || grew) rest
+
+let relax ddg dist ~latency ~ii ~forward =
+  let n = Ddg.n_ops ddg in
+  let changed = ref true and rounds = ref 0 in
+  while !changed && !rounds <= n do
+    changed := false;
+    incr rounds;
+    for v = 0 to n - 1 do
+      let edges = if forward then Ddg.succs ddg v else Ddg.preds ddg v in
+      if relax_edges dist ~latency ~ii ~forward false edges then changed := true
+    done
+  done
+
 let depths ddg ~latency ~ii =
   let n = Ddg.n_ops ddg in
   let estart = Array.make n 0 and height = Array.make n 0 in
-  let weight e = Ddg.effective_latency ~latency e - (ii * e.Edge.distance) in
-  let relax dist get_edges endpoint other =
-    let changed = ref true and rounds = ref 0 in
-    while !changed && !rounds <= n do
-      changed := false;
-      incr rounds;
-      for v = 0 to n - 1 do
-        List.iter
-          (fun e ->
-            let cand = dist.(other e) + weight e in
-            if cand > dist.(endpoint e) then begin
-              dist.(endpoint e) <- cand;
-              changed := true
-            end)
-          (get_edges v)
-      done
-    done
-  in
-  relax estart (Ddg.succs ddg) (fun e -> e.Edge.dst) (fun e -> e.Edge.src);
-  relax height (Ddg.preds ddg) (fun e -> e.Edge.src) (fun e -> e.Edge.dst);
+  relax ddg estart ~latency ~ii ~forward:true;
+  relax ddg height ~latency ~ii ~forward:false;
   (estart, height)
 
 type direction = Top_down | Bottom_up
@@ -36,34 +46,44 @@ type prepared = { groups : int list list; rec_mii : int }
 
 let rec_mii prepared = prepared.rec_mii
 
-(* Mark every node reachable from [seeds] along [get_edges] (through
-   [allowed] nodes only) in [seen]; returns the newly marked nodes. *)
-let reach ~seen ~allowed get_edges endpoint seeds =
-  let found = ref [] and stack = ref [] in
-  List.iter
-    (fun v ->
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        found := v :: !found;
-        stack := v :: !stack
-      end)
-    seeds;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-        stack := rest;
-        List.iter
-          (fun e ->
-            let w = endpoint e in
-            if allowed w && not seen.(w) then begin
-              seen.(w) <- true;
-              found := w :: !found;
-              stack := w :: !stack
-            end)
-          (get_edges v)
+(* Mark in [seen] the not-yet-seen endpoints of [edges] (their
+   destinations, or their sources when not [forward]) that are
+   [allowed], appending each to [found] at [len]; the new length. *)
+let rec mark_endpoints ~seen ~allowed ~forward found len = function
+  | [] -> len
+  | (e : Edge.t) :: rest ->
+      let w = if forward then e.dst else e.src in
+      if allowed.(w) && not seen.(w) then begin
+        seen.(w) <- true;
+        found.(len) <- w;
+        mark_endpoints ~seen ~allowed ~forward found (len + 1) rest
+      end
+      else mark_endpoints ~seen ~allowed ~forward found len rest
+
+(* Mark every node reachable from [seeds] along successor (or, not
+   [forward], predecessor) edges, through [allowed] nodes only, in
+   [seen]; the newly marked nodes are [found.(0 .. result - 1)].
+   [found] doubles as the work list, so a walk allocates nothing. *)
+let reach ddg ~seen ~allowed ~forward found seeds =
+  let len =
+    List.fold_left
+      (fun len v ->
+        if seen.(v) then len
+        else begin
+          seen.(v) <- true;
+          found.(len) <- v;
+          len + 1
+        end)
+      0 seeds
+  in
+  let len = ref len and i = ref 0 in
+  while !i < !len do
+    let v = found.(!i) in
+    let edges = if forward then Ddg.succs ddg v else Ddg.preds ddg v in
+    len := mark_endpoints ~seen ~allowed ~forward found !len edges;
+    incr i
   done;
-  !found
+  !len
 
 let prepare ddg ~latency =
   let n = Ddg.n_ops ddg in
@@ -98,37 +118,55 @@ let prepare ddg ~latency =
      in place as each group is ordered. *)
   let grouped = Array.make n false in
   let desc_o = Array.make n false and anc_o = Array.make n false in
-  let scratch = Array.make n false in
-  let succs = Ddg.succs ddg and preds = Ddg.preds ddg in
-  let dst (e : Edge.t) = e.dst and src (e : Edge.t) = e.src in
-  let everywhere _ = true in
+  let scratch = Array.make n false and everywhere = Array.make n true in
+  let found = Array.make n 0 in
   let groups =
     List.filter_map
       (fun (_, _, _, set) ->
         let set = List.filter (fun v -> not grouped.(v)) set in
         if set = [] then None
         else begin
-          let path seen_in get_edges endpoint =
-            let found =
-              reach ~seen:scratch ~allowed:(fun v -> seen_in.(v)) get_edges
-                endpoint set
+          let group = ref [] in
+          let add v =
+            if not grouped.(v) then begin
+              grouped.(v) <- true;
+              group := v :: !group
+            end
+          in
+          List.iter add set;
+          let path seen_in ~forward =
+            let len =
+              reach ddg ~seen:scratch ~allowed:seen_in ~forward found set
             in
-            List.iter (fun v -> scratch.(v) <- false) found;
-            found
+            for i = 0 to len - 1 do
+              scratch.(found.(i)) <- false;
+              add found.(i)
+            done
           in
-          let extra = path desc_o preds src @ path anc_o succs dst in
-          let group =
-            List.filter (fun v -> not grouped.(v)) (set @ extra)
-            |> List.sort_uniq Int.compare
-          in
-          List.iter (fun v -> grouped.(v) <- true) group;
-          ignore (reach ~seen:desc_o ~allowed:everywhere succs dst group);
-          ignore (reach ~seen:anc_o ~allowed:everywhere preds src group);
+          path desc_o ~forward:false;
+          path anc_o ~forward:true;
+          let group = List.sort Int.compare !group in
+          ignore
+            (reach ddg ~seen:desc_o ~allowed:everywhere ~forward:true found
+               group);
+          ignore
+            (reach ddg ~seen:anc_o ~allowed:everywhere ~forward:false found
+               group);
           Some group
         end)
       prioritized
   in
   { groups; rec_mii }
+
+(* Whether an edge list reaches an [ordered] node at its source (resp.
+   destination) end. *)
+let rec has_ordered_src ordered = function
+  | [] -> false
+  | (e : Edge.t) :: rest -> ordered.(e.src) || has_ordered_src ordered rest
+
+let rec has_ordered_dst ordered = function
+  | [] -> false
+  | (e : Edge.t) :: rest -> ordered.(e.dst) || has_ordered_dst ordered rest
 
 let ordered prepared ddg ~latency ~ii =
   let n = Ddg.n_ops ddg in
@@ -202,9 +240,6 @@ let ordered prepared ddg ~latency ~ii =
     in_r.(v) <- false;
     v
   in
-  let touches_ordered get_edges endpoint v =
-    List.exists (fun e -> ordered.(endpoint e)) (get_edges v)
-  in
   let inner () =
     while !remaining > 0 do
       (* Choose the sweep direction from how the working set touches the
@@ -214,7 +249,7 @@ let ordered prepared ddg ~latency ~ii =
       for v = 0 to n - 1 do
         if
           in_work.(v)
-          && touches_ordered (Ddg.preds ddg) (fun e -> e.Edge.src) v
+          && has_ordered_src ordered (Ddg.preds ddg v)
         then begin
           seeded := true;
           push Top_down v
@@ -224,7 +259,7 @@ let ordered prepared ddg ~latency ~ii =
         for v = 0 to n - 1 do
           if
             in_work.(v)
-            && touches_ordered (Ddg.succs ddg) (fun e -> e.Edge.dst) v
+            && has_ordered_dst ordered (Ddg.succs ddg v)
           then begin
             seeded := true;
             push Bottom_up v
