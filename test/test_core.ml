@@ -382,8 +382,47 @@ let test_pipeline_mode_of_target () =
   | Latency_assign.Four_level -> ()
   | Latency_assign.Two_level _ -> Alcotest.fail "expected four-level"
 
+(* The compile path allocates little per scheduled operation: the
+   engine's inner loops run on flat per-schedule state, latency
+   assignment probes in place, and the hooks answer from prebuilt
+   choices.  The suite is compiled under IPBC first, so the measured
+   IBC compile finds every profile in the context's memo (and, the
+   target differing, shares no candidate); the denominator is every
+   operation of every candidate it schedules.  The allocating engine
+   and latency assignment (test/engine_spec.ml) took 1938 words per
+   operation here; this path takes about 450. *)
+let test_compile_allocation () =
+  let ctx = Context.create () in
+  let benches = Vliw_workloads.Mediabench.all in
+  List.iter
+    (fun b -> ignore (Context.compiled ctx b (Context.interleaved `Ipbc)))
+    benches;
+  let before = Gc.minor_words () in
+  let compiled =
+    List.concat_map
+      (fun b -> Context.compiled ctx b (Context.interleaved `Ibc))
+      benches
+  in
+  let words = Gc.minor_words () -. before in
+  let ops =
+    List.fold_left
+      (fun acc (c : Pipeline.compiled) ->
+        List.fold_left
+          (fun acc (factor, _) ->
+            acc + (factor * Ddg.n_ops c.Pipeline.source.Loop.ddg))
+          acc c.Pipeline.considered)
+      0 compiled
+  in
+  check ci "scheduled operations" 4994 ops;
+  let per = words /. float_of_int ops in
+  if not (per < 700.) then
+    Alcotest.failf "%.1f minor words per scheduled operation (%d operations)"
+      per ops
+
 let suite =
   [
+    ("compile: < 700 minor words per scheduled operation", `Quick,
+     test_compile_allocation);
     ("profile: basics", `Quick, test_profile_basics);
     ("profile: weighted votes", `Quick, test_profile_weighted);
     ("chains: components", `Quick, test_chains_components);

@@ -305,6 +305,83 @@ let test_drivers_share_compile_memo () =
   check ci "compile misses" 4 m.Vliw_parallel.Memo.misses;
   check ci "compile hits" 4 m.Vliw_parallel.Memo.hits
 
+(* Candidate sharing: on one context, a benchmark compiled under
+   Selective and then under each single-factor strategy gives every
+   strategy exactly what a fresh context compiles, bus-window rejections
+   included, and each compile's schedules are the very values the
+   context published for their factors — Selective's, since it
+   compiled first. *)
+let test_strategies_share_candidates () =
+  let b = bench "gsmdec" in
+  List.iter
+    (fun target ->
+      let ctx = Context.create () in
+      let spec strategy = { Context.target; strategy; aligned = true } in
+      let strategies =
+        US.[ Selective; No_unrolling; Ouf_unrolling; Unroll_times_n ]
+      in
+      let selective = Context.compiled ctx b (spec US.Selective) in
+      let published =
+        List.mapi
+          (fun index (c : Pipeline.compiled) ->
+            List.map
+              (fun (factor, _) ->
+                match
+                  Context.shared_candidate ctx b (spec US.Selective) ~index
+                    ~factor
+                with
+                | Some cand -> (factor, cand)
+                | None -> Alcotest.failf "loop %d x%d not published" index factor)
+              c.Pipeline.considered)
+          selective
+      in
+      List.iter
+        (fun strategy ->
+          let name =
+            Pipeline.target_to_string target ^ " "
+            ^ US.strategy_to_string strategy
+          in
+          let shared = Context.compiled ctx b (spec strategy) in
+          let fresh = Context.compiled (Context.create ()) b (spec strategy) in
+          check cb (name ^ " equals a fresh compile") true (shared = fresh);
+          check cb (name ^ " keeps fresh bus rejections") true
+            (List.map (fun (c : Pipeline.compiled) -> c.Pipeline.bus_window_rejections) shared
+            = List.map (fun (c : Pipeline.compiled) -> c.Pipeline.bus_window_rejections) fresh);
+          List.iter2
+            (fun (c : Pipeline.compiled) factors ->
+              let cand = List.assoc c.Pipeline.unroll_factor factors in
+              check cb (name ^ " schedule is Selective's candidate") true
+                (c.Pipeline.schedule == cand.Pipeline.schedule
+                && c.Pipeline.latencies == cand.Pipeline.latencies))
+            shared published)
+        strategies)
+    [ Pipeline.Interleaved { heuristic = `Ipbc; chains = true };
+      Pipeline.Multivliw ]
+
+(* A compile that its deadline cancels publishes none of its candidates,
+   so an uncapped retry does the whole work again and equals a fresh
+   context's compile. *)
+let test_cancelled_compile_publishes_nothing () =
+  let b = bench "gsmdec" in
+  let spec = Context.interleaved `Ipbc in
+  let ctx = Context.create () in
+  let token = Vliw_parallel.Cancel.create ~budget:2 in
+  (match
+     Vliw_parallel.Cancel.with_token token (fun () -> Context.compiled ctx b spec)
+   with
+  | _ -> Alcotest.fail "the deadline did not cancel the compile"
+  | exception Vliw_parallel.Cancel.Cancelled { spent; _ } ->
+      check ci "cancelled at the third candidate" 3 spent);
+  List.iteri
+    (fun index _ ->
+      for factor = 1 to Config.max_unroll (Context.cfg ctx) do
+        check cb "no candidate left behind" true
+          (Context.shared_candidate ctx b spec ~index ~factor = None)
+      done)
+    (WL.Benchspec.loops b);
+  check cb "uncapped retry equals a fresh compile" true
+    (Context.compiled ctx b spec = Context.compiled (Context.create ()) b spec)
+
 let test_worked_example_full () =
   let lat = Vliw_experiments.Worked_example.assigned ctx in
   check ci "n1" 4 lat.(Vliw_experiments.Worked_example.n1);
@@ -335,5 +412,9 @@ let suite =
      test_batch_rejects_other_block_size);
     ("context: analyze and explain share one compile memo", `Quick,
      test_drivers_share_compile_memo);
+    ("context: strategies share unroll candidates", `Quick,
+     test_strategies_share_candidates);
+    ("context: a cancelled compile publishes no candidate", `Quick,
+     test_cancelled_compile_publishes_nothing);
     ("worked example: final latencies", `Quick, test_worked_example_full);
   ]
