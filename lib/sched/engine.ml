@@ -50,73 +50,6 @@ let memory_components ddg =
   done;
   (comp, !next)
 
-(* The loop's dependence edges as flat per-node ranges, built once per
-   schedule: [pred_*] at [pred_off.(v) .. pred_off.(v+1) - 1] hold v's
-   incoming edges and [succ_*] its outgoing ones, each in [Ddg.preds] /
-   [Ddg.succs] order, with the edge's scheduling latency under the
-   schedule's latencies.  The attempt walks them with plain loops. *)
-type graph = {
-  n : int;
-  lat : int array;  (* assigned latency per operation *)
-  fu : Opcode.fu_class array;
-  pred_off : int array;
-  pred_src : int array;
-  pred_kind : Edge.kind array;
-  pred_dist : int array;
-  pred_lat : int array;
-  succ_off : int array;
-  succ_dst : int array;
-  succ_kind : Edge.kind array;
-  succ_dist : int array;
-  succ_lat : int array;
-}
-
-let flatten ddg ~latency =
-  let n = Ddg.n_ops ddg in
-  let lat = Array.init n latency in
-  let ranges adj endpoint =
-    let off = Array.make (n + 1) 0 in
-    for v = 0 to n - 1 do
-      off.(v + 1) <- off.(v) + List.length (adj v)
-    done;
-    let m = off.(n) in
-    let node = Array.make m 0
-    and kind = Array.make m Edge.Reg_flow
-    and dist = Array.make m 0
-    and elat = Array.make m 0 in
-    for v = 0 to n - 1 do
-      List.iteri
-        (fun k (e : Edge.t) ->
-          let i = off.(v) + k in
-          node.(i) <- endpoint e;
-          kind.(i) <- e.kind;
-          dist.(i) <- e.distance;
-          elat.(i) <- Ddg.effective_latency ~latency e)
-        (adj v)
-    done;
-    (off, node, kind, dist, elat)
-  in
-  let pred_off, pred_src, pred_kind, pred_dist, pred_lat =
-    ranges (Ddg.preds ddg) (fun e -> e.Edge.src)
-  and succ_off, succ_dst, succ_kind, succ_dist, succ_lat =
-    ranges (Ddg.succs ddg) (fun e -> e.Edge.dst)
-  in
-  {
-    n;
-    lat;
-    fu = Array.map (fun o -> Opcode.fu_class o.Operation.opcode) (Ddg.ops ddg);
-    pred_off;
-    pred_src;
-    pred_kind;
-    pred_dist;
-    pred_lat;
-    succ_off;
-    succ_dst;
-    succ_kind;
-    succ_dist;
-    succ_lat;
-  }
-
 (* The order in which one placement reserves the copies from the placed
    operation to its consumer clusters: by [copy_bucket] ascending and,
    within a bucket, the destination met first among the successors
@@ -128,12 +61,16 @@ let flatten ddg ~latency =
 let copy_bucket c = Hashtbl.hash c land 15
 
 (* Scheduling state, allocated once per schedule and reset for every II
-   attempt.  Besides the placement itself it holds the scratch of the
-   inner loops — the placement being tried, the candidate clusters and
-   the last dependence window — so probing a slot allocates nothing. *)
+   attempt.  Besides the placement itself it holds the loop's edges as
+   arrays and the scratch of the inner loops — the copies of the
+   placement being tried, the candidate clusters and the last
+   dependence window — so probing a slot allocates nothing. *)
 type state = {
   cfg : Config.t;
-  g : graph;
+  ddg : Ddg.t;
+  latency : int -> int;
+  preds : Edge.t array array;
+  succs : Edge.t array array;
   nc : int;
   copy_lat : int;
   mutable ii : int;
@@ -145,43 +82,41 @@ type state = {
          [to_cluster], at [src_op * nc + to_cluster]; max_int = none *)
   mem_component : int array;  (* -1 for non-memory ops *)
   component_cluster : int array;  (* -1 = not yet pinned *)
-  (* committed copies, in commit order *)
-  mutable n_copies : int;
-  mutable copies : int array;  (* [src; from; to; start] per copy *)
-  (* copies reserved by the placement being tried, in reservation order *)
+  mutable copies : Schedule.copy list;  (* committed, newest first *)
+  pending : int array;
+      (* [src; from; to; start] of each copy the placement being tried
+         reserved, in reservation order; sized for the most a placement
+         can reserve (one per predecessor edge and one per cluster) *)
   mutable n_pending : int;
-  mutable pending : int array;
-  planned_stamp : int array;
-  planned_min : int array;
-      (* earliest pending copy of each producer, valid where
-         [planned_stamp] equals [stamp] *)
-  mutable stamp : int;
-  (* consumer clusters of the placement being tried: tightest deadline
-     (max_int = not a destination) and first-met order *)
   dest_deadline : int array;
-  dest_order : int array;
+      (* per consumer cluster of the placement being tried, its
+         tightest deadline; max_int = not a destination *)
+  dest_order : int array;  (* those clusters in the order first met *)
   mutable n_dests : int;
   buckets : int array;  (* [copy_bucket] per cluster *)
   bucket_order : int array;  (* the distinct buckets, ascending *)
-  (* candidate clusters of the node being placed, in preference order *)
-  cand : int array;
+  cand : int array;  (* candidate clusters, in preference order *)
   cand_cost : int array;
   cand_load : int array;
   mutable n_cand : int;
-  (* the last [window] *)
-  mutable w_estart : int;
+  mutable w_estart : int;  (* the last [window] *)
   mutable w_lstart : int;
   mutable w_has_pred : bool;
   mutable w_has_succ : bool;
 }
 
-let create_state cfg g ~components ~ii =
-  let n = g.n and nc = cfg.Config.n_clusters in
-  let mem_component, n_components = components in
+let create_state cfg ddg ~latency ~ii =
+  let n = Ddg.n_ops ddg and nc = cfg.Config.n_clusters in
+  let mem_component, n_components = memory_components ddg in
+  let preds = Array.init n (fun v -> Array.of_list (Ddg.preds ddg v)) in
+  let max_preds = Array.fold_left (fun m es -> max m (Array.length es)) 0 preds in
   let buckets = Array.init nc copy_bucket in
   {
     cfg;
-    g;
+    ddg;
+    latency;
+    preds;
+    succs = Array.init n (fun v -> Array.of_list (Ddg.succs ddg v));
     nc;
     copy_lat = cfg.Config.reg_copy_latency;
     ii;
@@ -191,18 +126,15 @@ let create_state cfg g ~components ~ii =
     first_copy = Array.make (n * nc) max_int;
     mem_component;
     component_cluster = Array.make (max 1 n_components) (-1);
-    n_copies = 0;
-    copies = Array.make 64 0;
+    copies = [];
+    pending = Array.make (4 * (max_preds + nc)) 0;
     n_pending = 0;
-    pending = Array.make 64 0;
-    planned_stamp = Array.make n 0;
-    planned_min = Array.make n 0;
-    stamp = 0;
     dest_deadline = Array.make nc max_int;
     dest_order = Array.make nc 0;
     n_dests = 0;
     buckets;
-    bucket_order = Array.of_list (List.sort_uniq Int.compare (Array.to_list buckets));
+    bucket_order =
+      Array.of_list (List.sort_uniq Int.compare (Array.to_list buckets));
     cand = Array.make nc 0;
     cand_cost = Array.make nc 0;
     cand_load = Array.make nc 0;
@@ -216,34 +148,31 @@ let create_state cfg g ~components ~ii =
 let reset_state st ~ii =
   st.ii <- ii;
   Mrt.reset st.mrt ~ii;
-  Array.fill st.start 0 st.g.n 0;
-  Array.fill st.cluster 0 st.g.n (-1);
+  Array.fill st.cluster 0 (Array.length st.cluster) (-1);
   Array.fill st.first_copy 0 (Array.length st.first_copy) max_int;
   Array.fill st.component_cluster 0 (Array.length st.component_cluster) (-1);
-  st.n_copies <- 0
+  st.copies <- []
 
 let scheduled st v = st.cluster.(v) >= 0
 
-(* Append a copy's four fields to a growable buffer of [len] copies. *)
-let push_copy buf len ~src ~from ~into ~start =
-  let buf =
-    if 4 * (len + 1) <= Array.length buf then buf
-    else begin
-      let bigger = Array.make (2 * Array.length buf) 0 in
-      Array.blit buf 0 bigger 0 (4 * len);
-      bigger
-    end
-  in
-  let i = 4 * len in
-  buf.(i) <- src;
-  buf.(i + 1) <- from;
-  buf.(i + 2) <- into;
-  buf.(i + 3) <- start;
-  buf
-
 let add_pending st ~src ~from ~into ~start =
-  st.pending <- push_copy st.pending st.n_pending ~src ~from ~into ~start;
+  let i = 4 * st.n_pending in
+  st.pending.(i) <- src;
+  st.pending.(i + 1) <- from;
+  st.pending.(i + 2) <- into;
+  st.pending.(i + 3) <- start;
   st.n_pending <- st.n_pending + 1
+
+(* Whether the placement being tried has reserved a copy of [src]
+   starting by [deadline]. *)
+let planned st ~src ~deadline =
+  let found = ref false and j = ref 0 in
+  while (not !found) && !j < st.n_pending do
+    let i = 4 * !j in
+    found := st.pending.(i) = src && st.pending.(i + 3) <= deadline;
+    incr j
+  done;
+  !found
 
 (* Commit the pending copies, newest reservation first. *)
 let commit_pending st =
@@ -252,8 +181,9 @@ let commit_pending st =
     let src = st.pending.(i) and into = st.pending.(i + 2) in
     let start = st.pending.(i + 3) in
     st.copies <-
-      push_copy st.copies st.n_copies ~src ~from:st.pending.(i + 1) ~into ~start;
-    st.n_copies <- st.n_copies + 1;
+      { Schedule.src_op = src; from_cluster = st.pending.(i + 1);
+        to_cluster = into; start }
+      :: st.copies;
     let key = (src * st.nc) + into in
     if start < st.first_copy.(key) then st.first_copy.(key) <- start
   done
@@ -262,45 +192,51 @@ let commit_pending st =
    neighbours, into [w_*]: earliest start, latest start, and whether any
    predecessor / successor constrains it. *)
 let window st v c =
-  let g = st.g and copy_lat = st.copy_lat in
+  let copy_lat = st.copy_lat in
   let estart = ref 0
   and lstart = ref max_int
   and has_pred = ref false
   and has_succ = ref false in
-  for i = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
-    let u = g.pred_src.(i) in
+  let preds = st.preds.(v) in
+  for i = 0 to Array.length preds - 1 do
+    let e = preds.(i) in
+    let u = e.Edge.src in
     if scheduled st u then begin
       let cross = st.cluster.(u) <> c in
-      match g.pred_kind.(i) with
+      match e.Edge.kind with
       | (Edge.Reg_anti | Edge.Reg_out) when cross -> ()
       | kind ->
           has_pred := true;
-          let shift = st.ii * g.pred_dist.(i) in
+          let shift = st.ii * e.Edge.distance in
           let base =
             if kind = Edge.Reg_flow && cross then begin
-              let via_new = st.start.(u) + g.lat.(u) + copy_lat - shift in
+              let via_new = st.start.(u) + st.latency u + copy_lat - shift in
               let first = st.first_copy.((u * st.nc) + c) in
               if first = max_int then via_new
               else min via_new (first + copy_lat - shift)
             end
-            else st.start.(u) + g.pred_lat.(i) - shift
+            else
+              st.start.(u) + Ddg.effective_latency ~latency:st.latency e - shift
           in
           if base > !estart then estart := base
     end
   done;
-  for i = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
-    let w = g.succ_dst.(i) in
+  let succs = st.succs.(v) in
+  for i = 0 to Array.length succs - 1 do
+    let e = succs.(i) in
+    let w = e.Edge.dst in
     if w <> v && scheduled st w then begin
       let cross = st.cluster.(w) <> c in
-      match g.succ_kind.(i) with
+      match e.Edge.kind with
       | (Edge.Reg_anti | Edge.Reg_out) when cross -> ()
       | kind ->
           has_succ := true;
-          let shift = st.ii * g.succ_dist.(i) in
+          let shift = st.ii * e.Edge.distance in
           let bound =
             if kind = Edge.Reg_flow && cross then
-              st.start.(w) + shift - copy_lat - g.lat.(v)
-            else st.start.(w) - g.succ_lat.(i) + shift
+              st.start.(w) + shift - copy_lat - st.latency v
+            else
+              st.start.(w) - Ddg.effective_latency ~latency:st.latency e + shift
           in
           if bound < !lstart then lstart := bound
     end
@@ -330,39 +266,30 @@ let reserve_copy_slot st ~from_cluster ~earliest ~latest =
   !found
 
 (* Copies feeding [v] in cluster [c] at cycle [t] from cross-cluster
-   predecessors, reserved into the pending buffer.  A producer needs no
-   new copy when a committed copy already arrives in time, or a copy
-   planned by this placement meets the edge's deadline. *)
+   predecessors.  A producer needs no new copy when a committed copy
+   already arrives in time, or a copy this placement reserved meets the
+   edge's deadline. *)
 let reserve_pred_copies st v c t =
-  let g = st.g and copy_lat = st.copy_lat in
-  let ok = ref true and i = ref g.pred_off.(v) in
-  while !ok && !i < g.pred_off.(v + 1) do
-    let u = g.pred_src.(!i) in
-    if scheduled st u && g.pred_kind.(!i) = Edge.Reg_flow && st.cluster.(u) <> c
+  let copy_lat = st.copy_lat and preds = st.preds.(v) in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length preds do
+    let e = preds.(!i) in
+    let u = e.Edge.src in
+    if scheduled st u && e.Edge.kind = Edge.Reg_flow && st.cluster.(u) <> c
     then begin
-      let shift = st.ii * g.pred_dist.(!i) in
+      let shift = st.ii * e.Edge.distance in
       let deadline = t + shift - copy_lat in
       let first = st.first_copy.((u * st.nc) + c) in
       let reusable = first <> max_int && first + copy_lat - shift <= t in
-      let planned =
-        st.planned_stamp.(u) = st.stamp && st.planned_min.(u) <= deadline
-      in
-      if not (reusable || planned) then begin
+      if not (reusable || planned st ~src:u ~deadline) then begin
         let from = st.cluster.(u) in
         let s =
           reserve_copy_slot st ~from_cluster:from
-            ~earliest:(st.start.(u) + g.lat.(u))
+            ~earliest:(st.start.(u) + st.latency u)
             ~latest:deadline
         in
         if s = min_int then ok := false
-        else begin
-          add_pending st ~src:u ~from ~into:c ~start:s;
-          if st.planned_stamp.(u) <> st.stamp then begin
-            st.planned_stamp.(u) <- st.stamp;
-            st.planned_min.(u) <- s
-          end
-          else if s < st.planned_min.(u) then st.planned_min.(u) <- s
-        end
+        else add_pending st ~src:u ~from ~into:c ~start:s
       end
     end;
     incr i
@@ -373,14 +300,15 @@ let reserve_pred_copies st v c t =
    destination cluster, placed to meet its tightest consumer, reserved
    in the {!copy_bucket} order. *)
 let reserve_succ_copies st v c t =
-  let g = st.g in
-  for i = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
-    let w = g.succ_dst.(i) in
+  let succs = st.succs.(v) in
+  for i = 0 to Array.length succs - 1 do
+    let e = succs.(i) in
+    let w = e.Edge.dst in
     if
-      w <> v && scheduled st w && g.succ_kind.(i) = Edge.Reg_flow
+      w <> v && scheduled st w && e.Edge.kind = Edge.Reg_flow
       && st.cluster.(w) <> c
     then begin
-      let deadline = st.start.(w) + (st.ii * g.succ_dist.(i)) - st.copy_lat in
+      let deadline = st.start.(w) + (st.ii * e.Edge.distance) - st.copy_lat in
       let cw = st.cluster.(w) in
       if st.dest_deadline.(cw) = max_int then begin
         st.dest_order.(st.n_dests) <- cw;
@@ -391,13 +319,12 @@ let reserve_succ_copies st v c t =
   done;
   let ok = ref true and b = ref 0 in
   while !ok && !b < Array.length st.bucket_order do
-    let bucket = st.bucket_order.(!b) in
     let j = ref (st.n_dests - 1) in
     while !ok && !j >= 0 do
       let dest = st.dest_order.(!j) in
-      if st.buckets.(dest) = bucket then begin
+      if st.buckets.(dest) = st.bucket_order.(!b) then begin
         let s =
-          reserve_copy_slot st ~from_cluster:c ~earliest:(t + g.lat.(v))
+          reserve_copy_slot st ~from_cluster:c ~earliest:(t + st.latency v)
             ~latest:st.dest_deadline.(dest)
         in
         if s = min_int then ok := false
@@ -414,12 +341,11 @@ let reserve_succ_copies st v c t =
   !ok
 
 (* Try to place [v] in cluster [c] at cycle [t], reserving its FU slot
-   and the copies it needs (left in the pending buffer).  The MRT is
-   mutated either way; the caller restores it on failure. *)
+   and the copies it needs (left pending).  The MRT is mutated either
+   way; the caller restores it on failure. *)
 let try_place st v c t =
-  let fu = st.g.fu.(v) in
+  let fu = Opcode.fu_class (Ddg.op st.ddg v).Operation.opcode in
   st.n_pending <- 0;
-  st.stamp <- st.stamp + 1;
   Mrt.fu_free st.mrt ~cluster:c ~fu ~cycle:t
   && reserve_pred_copies st v c t
   && reserve_succ_copies st v c t
@@ -440,19 +366,20 @@ let mem_cluster_ok st v c =
   || st.component_cluster.(comp) = c
 
 let comm_cost st v c =
-  let g = st.g in
   let cost = ref 0 in
-  for i = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
-    let u = g.pred_src.(i) in
+  let preds = st.preds.(v) and succs = st.succs.(v) in
+  for i = 0 to Array.length preds - 1 do
+    let u = preds.(i).Edge.src in
     if
-      g.pred_kind.(i) = Edge.Reg_flow && scheduled st u && st.cluster.(u) <> c
+      preds.(i).Edge.kind = Edge.Reg_flow && scheduled st u
+      && st.cluster.(u) <> c
       && st.first_copy.((u * st.nc) + c) = max_int
     then incr cost
   done;
-  for i = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
-    let w = g.succ_dst.(i) in
+  for i = 0 to Array.length succs - 1 do
+    let w = succs.(i).Edge.dst in
     if
-      g.succ_kind.(i) = Edge.Reg_flow && w <> v && scheduled st w
+      succs.(i).Edge.kind = Edge.Reg_flow && w <> v && scheduled st w
       && st.cluster.(w) <> c
     then incr cost
   done;
@@ -462,17 +389,16 @@ let comm_cost st v c =
    [Forced] node's own cluster, or every feasible cluster by (new
    communications, load, id). *)
 let candidate_clusters st (hooks : hooks) v ~allow_cross_cluster_mem =
-  let feasible c = allow_cross_cluster_mem || mem_cluster_ok st v c in
   st.n_cand <- 0;
   match hooks.choice v with
   | Forced c ->
-      if feasible c then begin
+      if allow_cross_cluster_mem || mem_cluster_ok st v c then begin
         st.cand.(0) <- c;
         st.n_cand <- 1
       end
   | Free ->
       for c = 0 to st.nc - 1 do
-        if feasible c then begin
+        if allow_cross_cluster_mem || mem_cluster_ok st v c then begin
           let cost = comm_cost st v c and load = Mrt.cluster_load st.mrt c in
           (* insertion into the sorted prefix; ids ascend, so an equal
              (cost, load) key stays behind *)
@@ -564,33 +490,26 @@ let attempt st ~order_base ~hooks ~allow_cross_cluster_mem ~hoisted ~ii =
   | None ->
       (* Normalize: shift everything by a multiple of the II so the
          earliest issue (operation or copy) lands in [0, II). *)
-      let earliest = ref (Array.fold_left min max_int st.start) in
-      for j = 0 to st.n_copies - 1 do
-        earliest := min !earliest st.copies.((4 * j) + 3)
-      done;
-      let shift =
-        if !earliest >= 0 then 0 else (((- !earliest) + ii - 1) / ii) * ii
+      let earliest =
+        List.fold_left
+          (fun acc (cp : Schedule.copy) -> min acc cp.Schedule.start)
+          (Array.fold_left min max_int st.start)
+          st.copies
       in
-      (* The schedule lists the copies newest first. *)
-      let copies = ref [] in
-      for j = 0 to st.n_copies - 1 do
-        let i = 4 * j in
-        copies :=
-          {
-            Schedule.src_op = st.copies.(i);
-            from_cluster = st.copies.(i + 1);
-            to_cluster = st.copies.(i + 2);
-            start = st.copies.(i + 3) + shift;
-          }
-          :: !copies
-      done;
+      let shift =
+        if earliest >= 0 then 0 else (((-earliest) + ii - 1) / ii) * ii
+      in
       Ok
         {
           Schedule.ii;
           n_clusters = st.nc;
           cluster = Array.copy st.cluster;
           start = Array.map (fun s -> s + shift) st.start;
-          copies = !copies;
+          copies =
+            List.map
+              (fun (cp : Schedule.copy) ->
+                { cp with Schedule.start = cp.Schedule.start + shift })
+              st.copies;
         }
 
 let max_hoist_retries = 16
@@ -695,10 +614,7 @@ let schedule cfg ddg ~latency ?(hooks = default_hooks)
   let prepared = Ordering.prepare ddg ~latency in
   let mii = max (Resources.res_mii cfg ddg) (Ordering.rec_mii prepared) in
   let hi = (4 * mii) + 64 in
-  let st =
-    create_state cfg (flatten ddg ~latency)
-      ~components:(memory_components ddg) ~ii:(max 1 mii)
-  in
+  let st = create_state cfg ddg ~latency ~ii:(max 1 mii) in
   let try_ii ii =
     (* The greedy pass can wedge on the node that closes a recurrence (a
        node scheduled after both its predecessors and successors, whose

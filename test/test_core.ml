@@ -421,8 +421,6 @@ let test_compile_allocation () =
 
 let suite =
   [
-    ("compile: < 700 minor words per scheduled operation", `Quick,
-     test_compile_allocation);
     ("profile: basics", `Quick, test_profile_basics);
     ("profile: weighted votes", `Quick, test_profile_weighted);
     ("chains: components", `Quick, test_chains_components);
@@ -445,4 +443,6 @@ let suite =
     ("pipeline: compiles and validates on every target", `Quick, test_pipeline_all_targets);
     ("pipeline: selective unrolling never worse", `Quick, test_pipeline_selective_not_worse);
     ("pipeline: latency modes per target", `Quick, test_pipeline_mode_of_target);
+    ("compile: < 700 minor words per scheduled operation", `Quick,
+     test_compile_allocation);
   ]

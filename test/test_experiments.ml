@@ -412,9 +412,9 @@ let suite =
      test_batch_rejects_other_block_size);
     ("context: analyze and explain share one compile memo", `Quick,
      test_drivers_share_compile_memo);
+    ("worked example: final latencies", `Quick, test_worked_example_full);
     ("context: strategies share unroll candidates", `Quick,
      test_strategies_share_candidates);
     ("context: a cancelled compile publishes no candidate", `Quick,
      test_cancelled_compile_publishes_nothing);
-    ("worked example: final latencies", `Quick, test_worked_example_full);
   ]

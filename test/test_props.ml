@@ -785,8 +785,6 @@ let suite =
     prop_mrt_matches_spec;
     prop_ordering_matches_spec;
     test_ordering_suite_matches_spec;
-    prop_engine_matches_spec;
-    prop_latency_assign_matches_spec;
     prop_set_assoc_matches_reference;
     prop_profile_fingerprint;
     prop_expected_stall_monotone;
@@ -1291,4 +1289,6 @@ let suite =
       prop_caches_match_spec;
       prop_simulation_deterministic;
       prop_batch_composition;
+      prop_engine_matches_spec;
+      prop_latency_assign_matches_spec;
     ]
