@@ -117,7 +117,7 @@ let restore_slack ddg ~solver latencies ~recurrence ~op ~target =
   if fits lo then latencies.(op) <- search lo hi
 
 let assign cfg ddg ~mode ~profile =
-  let ladder = levels cfg mode in
+  let ladder = Array.of_list (levels cfg mode) in
   let latencies = initial_latencies cfg ddg ~mode in
   let solvers = recurrence_solvers ddg in
   let target = target_with cfg ddg ~mode solvers in
@@ -132,16 +132,18 @@ let assign cfg ddg ~mode ~profile =
     |> List.map (fun (_, s, nodes) -> (s, nodes))
   in
   (* One closure over the latency vector serves every probe: a probe
-     writes its candidate latency into the vector and restores it. *)
+     writes its candidate latency into the vector and restores it.  The
+     probe loops are plain loops over arrays, so the best-so-far lives
+     in unboxed locals. *)
   let latency i = latencies.(i) in
   let reduce (solver, recurrence) =
     let loads =
-      List.filter
-        (fun v -> is_load ddg v && Option.is_some (Profile.get profile v))
-        recurrence
+      Array.of_list
+        (List.filter
+           (fun v -> is_load ddg v && Option.is_some (Profile.get profile v))
+           recurrence)
     in
-    if loads = [] then ()
-    else begin
+    if Array.length loads > 0 then begin
       let last_changed = ref (-1) in
       let continue = ref true in
       (* The loop only ever lowers latencies, so the last solved II stays
@@ -160,44 +162,37 @@ let assign cfg ddg ~mode ~profile =
         and best_m = ref 0
         and best_l = ref 0
         and best_ii = ref 0 in
-        List.iter
-          (fun m ->
-            let saved = latencies.(m) in
-            let p = Option.get (Profile.get profile m) in
-            let old_stall = expected_stall cfg ~mode p ~lat:saved in
-            List.iter
-              (fun l' ->
-                if l' < saved then begin
-                  latencies.(m) <- l';
-                  let new_ii =
-                    Mii.solve solver ~upper_feasible:old_ii ~latency
-                  in
-                  latencies.(m) <- saved;
-                  let d_ii = float_of_int (old_ii - new_ii) in
-                  let d_stall =
-                    expected_stall cfg ~mode p ~lat:l' -. old_stall
-                  in
-                  let b =
-                    if d_stall <= 1e-9 then infinity else d_ii /. d_stall
-                  in
-                  let better =
-                    (not !found) || b > !best_b
-                    || b = !best_b
-                       && (d_ii > !best_d_ii
-                          || d_ii = !best_d_ii
-                             && (m < !best_m || (m = !best_m && l' < !best_l)))
-                  in
-                  if better then begin
-                    found := true;
-                    best_b := b;
-                    best_d_ii := d_ii;
-                    best_m := m;
-                    best_l := l';
-                    best_ii := new_ii
-                  end
-                end)
-              ladder)
-          loads;
+        for i = 0 to Array.length loads - 1 do
+          let m = loads.(i) in
+          let saved = latencies.(m) in
+          let p = Option.get (Profile.get profile m) in
+          let old_stall = expected_stall cfg ~mode p ~lat:saved in
+          for k = 0 to Array.length ladder - 1 do
+            let l' = ladder.(k) in
+            if l' < saved then begin
+              latencies.(m) <- l';
+              let new_ii = Mii.solve solver ~upper_feasible:old_ii ~latency in
+              latencies.(m) <- saved;
+              let d_ii = float_of_int (old_ii - new_ii) in
+              let d_stall = expected_stall cfg ~mode p ~lat:l' -. old_stall in
+              let b = if d_stall <= 1e-9 then infinity else d_ii /. d_stall in
+              if
+                (not !found) || b > !best_b
+                || b = !best_b
+                   && (d_ii > !best_d_ii
+                      || d_ii = !best_d_ii
+                         && (m < !best_m || (m = !best_m && l' < !best_l)))
+              then begin
+                found := true;
+                best_b := b;
+                best_d_ii := d_ii;
+                best_m := m;
+                best_l := l';
+                best_ii := new_ii
+              end
+            end
+          done
+        done;
         if not !found then continue := false
         else begin
           latencies.(!best_m) <- !best_l;
