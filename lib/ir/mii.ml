@@ -191,24 +191,26 @@ let rec witness_floor ~latency acc = function
    cycle (or by a diverged run), and the climb stops at the first II a
    run proves feasible — so the answer is the minimal feasible II,
    certified from both sides.  Each witness lifts the climb strictly
-   above the II it refuted.  Without a known-feasible cap ([upper] =
-   max_int), the worst-case bound (every simple cycle of distance >= 1
-   has latency below it) stands in: still infeasible there means only a
+   above the II it refuted.  Without a known-feasible cap, the
+   worst-case bound (every simple cycle of distance >= 1 has latency
+   below it) stands in: still infeasible there means only a
    zero-distance positive cycle is left. *)
-let rec climb s ~latency ~upper ii =
-  if ii >= upper then upper
-  else
-    match longest_paths s ~latency ~ii with
-    | Converged -> ii
-    | Witness c ->
-        remember s c;
-        climb s ~latency ~upper (cycle_ii c ~latency)
-    | Diverged ->
-        if upper = max_int && ii >= ceiling s ~latency then raise Infeasible;
-        climb s ~latency ~upper (ii + 1)
+let rec climb s ~latency ~upper_feasible ii =
+  match upper_feasible with
+  | Some upper when ii >= upper -> upper
+  | _ -> (
+      match longest_paths s ~latency ~ii with
+      | Converged -> ii
+      | Witness c ->
+          remember s c;
+          climb s ~latency ~upper_feasible (cycle_ii c ~latency)
+      | Diverged ->
+          if Option.is_none upper_feasible && ii >= ceiling s ~latency then
+            raise Infeasible;
+          climb s ~latency ~upper_feasible (ii + 1))
 
-let solve ?(upper_feasible = max_int) s ~latency =
-  climb s ~latency ~upper:upper_feasible (witness_floor ~latency 1 s.witnesses)
+let solve ?upper_feasible s ~latency =
+  climb s ~latency ~upper_feasible (witness_floor ~latency 1 s.witnesses)
 
 let feasible ddg ~latency ~nodes ~ii =
   solve_feasible (solver ddg ~nodes) ~latency ~ii

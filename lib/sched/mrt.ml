@@ -117,10 +117,11 @@ let bus_charge t k =
   let occ = t.cfg.Config.bus_occupancy in
   if k < occ mod t.ii then (occ / t.ii) + 1 else occ / t.ii
 
-(* Per-domain count of bus-window rejections, read as a delta around a
-   whole compile (see Pipeline.compile).  [reg_bus_free] is the only
+(* Per-domain count of bus-window rejections, read as a delta around
+   each unroll candidate's scheduling and summed over a compile's
+   candidates (see Pipeline.compile_shared).  [reg_bus_free] is the only
    consumer of [n_reg_buses] in the entire compilation pipeline, so a
-   compile whose delta is zero never branched on the bus count anywhere
+   compile whose sum is zero never branched on the bus count anywhere
    in its search — the design-space sweep's provably-safe condition for
    skipping higher bus counts.  The counter is monotonic and never
    rolled back by [restore]: a rejection is a search event, not

@@ -42,8 +42,9 @@ val bus_rejections : unit -> int
     before/after delta is zero provably produces a byte-identical
     schedule under any larger bus count (every probe that succeeded at
     [b] buses still succeeds at [b' >= b], so the search takes the
-    identical path).  The design-space sweep reads the delta (via
-    {!Vliw_core.Pipeline.compiled}) to prune dominated bus levels;
+    identical path).  The design-space sweep reads the deltas, summed
+    over a compile's candidates (via {!Vliw_core.Pipeline.compiled}), to
+    prune dominated bus levels;
     {!restore} deliberately does not roll the counter back — rejections
     count search events, not reservation state. *)
 

@@ -207,7 +207,24 @@ let prop_mrt_matches_spec =
         }
       in
       let ii = 1 + gen_int (occupancy + 1) in
-      let mrt = Mrt.create cfg ~ii and spec = Mrt_spec.create cfg ~ii in
+      (* Half the time the table under test is a reused one, as the
+         engine keeps across its II attempts: made at another II, partly
+         filled, then [reset] to this one. *)
+      let mrt =
+        if gen_int 1 = 0 then Mrt.create cfg ~ii
+        else begin
+          let other = 1 + gen_int (occupancy + 2) in
+          let m = Mrt.create cfg ~ii:other in
+          for cycle = 0 to gen_int (2 * other) do
+            if Mrt.issue_free m ~cluster:0 ~cycle then
+              Mrt.reserve_issue m ~cluster:0 ~cycle;
+            if Mrt.reg_bus_free m ~cycle then Mrt.reserve_reg_bus m ~cycle
+          done;
+          Mrt.reset m ~ii;
+          m
+        end
+      in
+      let spec = Mrt_spec.create cfg ~ii in
       let rejections0 = Mrt.bus_rejections () in
       let fus = Resources.fu_classes in
       let clusters = List.init cfg.Config.n_clusters Fun.id in
