@@ -51,12 +51,12 @@ let memory_components ddg =
   (comp, !next)
 
 (* The order in which one placement reserves the copies from the placed
-   operation to its consumer clusters: by [copy_bucket] ascending and,
+   operation to its consumer clusters: [copy_bucket] ascending and,
    within a bucket, the destination met first among the successors
-   last.  This is the visit order of the [Hashtbl] the scheduler once
-   collected those destinations in (16 buckets, newest binding first,
-   which holds up to 32 destinations); reserving the copies in any
-   other order changes which bus and issue slots they take, and so the
+   last (on 4 clusters: 2, 3, 0, 1).  It is the order a 16-bucket
+   [Hashtbl] of up to 32 destinations visits them in, newest binding
+   first, and the order every recorded schedule was made with: any
+   other order takes other bus and issue slots, and so changes the
    schedules. *)
 let copy_bucket c = Hashtbl.hash c land 15
 
