@@ -75,12 +75,9 @@ type candidate = {
 }
 
 (* The scheduling work of one candidate factor: latency assignment and
-   the clustered modulo schedule.  It is one deterministic work unit: a
-   request deadline cancels the selective search between factors, never
-   mid-schedule, and a candidate [share] hands back costs none. *)
+   the clustered modulo schedule. *)
 let schedule_candidate cfg ~target ~source ~factor (loop : Loop.t) ~profile
     ~chains =
-  Vliw_parallel.Cancel.tick ~stage:("compile " ^ source.Loop.name) 1;
   let rejections0 = Vliw_sched.Mrt.bus_rejections () in
   let mode = mode_of_target cfg target in
   let latencies = Latency_assign.assign cfg loop.Loop.ddg ~mode ~profile in
@@ -109,12 +106,21 @@ let compile_factor cfg ~target ~profiler ~share ~source ~base_profile factor =
   (* Unrolling by 1 shares the source's DDG and trip count, so its
      profile is the base profile already in hand — re-profiling it would
      repeat the most expensive phase of a selective compile. *)
-  let profile = if factor = 1 then base_profile else profiler loop in
+  let profile =
+    lazy (if factor = 1 then base_profile else profiler loop)
+  in
   let chains = Chains.build loop.Loop.ddg in
   let c =
     share ~factor (fun () ->
-        schedule_candidate cfg ~target ~source ~factor loop ~profile ~chains)
+        (* One deterministic work unit per candidate scheduled, charged
+           before its profile run: a request deadline cancels the
+           selective search between factors, never mid-schedule, and a
+           candidate [share] hands back costs none. *)
+        Vliw_parallel.Cancel.tick ~stage:("compile " ^ source.Loop.name) 1;
+        schedule_candidate cfg ~target ~source ~factor loop
+          ~profile:(Lazy.force profile) ~chains)
   in
+  let profile = Lazy.force profile in
   {
     source;
     target;

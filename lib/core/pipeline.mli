@@ -96,10 +96,10 @@ val compile_shared :
   compiled
 (** The selective search with the scheduling of each candidate factor
     handed to [share ~factor schedule]: [share] returns [schedule ()]
-    (latency assignment and {!Vliw_sched.Engine.schedule}, one
-    {!Vliw_parallel.Cancel} work unit), or a candidate the same
-    [schedule] produced before for this source loop, factor, target and
-    configuration — the caller keys and stores them
+    (one {!Vliw_parallel.Cancel} work unit, then the candidate's profile
+    run, latency assignment and {!Vliw_sched.Engine.schedule}), or a
+    candidate the same [schedule] produced before for this source loop,
+    factor, target and configuration — the caller keys and stores them
     ({!Vliw_analysis.Context} shares them across unroll strategies).
     Unrolling, profiling and chain building run either way, so the
     result is the same whatever [share] reuses.
