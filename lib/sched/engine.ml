@@ -66,7 +66,6 @@ let copy_bucket c = Hashtbl.hash c land 15
    placement being tried, the candidate clusters and the last
    dependence window — so probing a slot allocates nothing. *)
 type state = {
-  cfg : Config.t;
   ddg : Ddg.t;
   latency : int -> int;
   preds : Edge.t array array;
@@ -112,7 +111,6 @@ let create_state cfg ddg ~latency ~ii =
   let max_preds = Array.fold_left (fun m es -> max m (Array.length es)) 0 preds in
   let buckets = Array.init nc copy_bucket in
   {
-    cfg;
     ddg;
     latency;
     preds;
