@@ -2,7 +2,7 @@
 
      vliw-repro list                      benchmarks in the suite
      vliw-repro config                    the simulated machine (Table 2)
-     vliw-repro experiment fig8 ...       regenerate figures/tables
+     vliw-repro experiment [fig8 ...]     regenerate artefacts (default: all)
      vliw-repro compile gsmdec            schedules of one benchmark
      vliw-repro run gsmdec --arch=...     simulate one benchmark *)
 
@@ -43,16 +43,24 @@ let config_cmd =
 (* ---------------------------------------------------------- experiment *)
 
 let jobs_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
     value
-    & opt int 0
+    & opt (some positive) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the experiment engine (default: all cores). \
            $(docv) = 1 runs strictly sequentially; the rendered output is \
            byte-identical either way.")
 
-let apply_jobs jobs = if jobs >= 1 then Pool.set_default_jobs jobs
+let apply_jobs jobs = Option.iter Pool.set_default_jobs jobs
 
 let check_arg =
   Arg.(
@@ -66,15 +74,19 @@ let check_arg =
 let apply_check check = if check then Vliw_analysis.Analyze.install_check_hook ()
 
 let experiment_cmd =
-  let doc = "Regenerate one of the paper's tables or figures." in
+  let doc =
+    "Regenerate the paper's tables and figures (default: every artefact, \
+     the CSV export included, in order)."
+  in
   let names =
     let choices = List.map (fun (name, _) -> (name, name)) E.Artefacts.all in
-    Arg.(non_empty & pos_all (enum choices) [] & info [] ~docv:"EXPERIMENT")
+    Arg.(value & pos_all (enum choices) [] & info [] ~docv:"EXPERIMENT")
   in
   let run jobs check names =
     apply_jobs jobs;
     apply_check check;
     let ctx = E.Context.create () in
+    let names = if names = [] then List.map fst E.Artefacts.all else names in
     List.iter (fun name -> (List.assoc name E.Artefacts.all) ppf ctx) names
   in
   Cmd.v (Cmd.info "experiment" ~doc)

@@ -7,8 +7,8 @@
 
     - {b passthrough} (the default): one atomic flag load and a
       domain-local read per operation, then the real stdlib call.  No
-      events, no allocation — the production configuration the
-      BENCH_compile.json cells are measured under.
+      events, no allocation — the production configuration every
+      benchmark measures.
     - {b record} (inside {!record_scope}): the real operation still
       runs, and an event carrying a globally-ordered stamp is appended
       to the calling domain's private append-only log.  The collected

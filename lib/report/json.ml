@@ -109,18 +109,6 @@ let document v =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-let path keys v =
-  List.fold_left
-    (fun acc k ->
-      match acc with Some (Obj fields) -> List.assoc_opt k fields | _ -> None)
-    (Some v) keys
-
-let number = function
-  | Int i -> Some (float_of_int i)
-  | Int64 i -> Some (Int64.to_float i)
-  | Float f | Fixed (_, f) -> Some f
-  | Null | Bool _ | String _ | List _ | Obj _ -> None
-
 (* ------------------------------------------------------------- parser *)
 
 exception Bad of string

@@ -1,9 +1,9 @@
 (** The one JSON layer of the toolchain: a value type, a strict parser,
     one string escaper and two printers.  Every machine-readable output
-    — the service's response lines, [analyze]/[explain]/[sweep --json],
-    the concurrency sanitizer's report and the bench's
-    [BENCH_compile.json] — is built as a {!t} and printed here, so the
-    escaping rules and the document layout live in one place.
+    — the service's response lines, [analyze]/[explain]/[sweep --json]
+    and the concurrency sanitizer's report — is built as a {!t} and
+    printed here, so the escaping rules and the document layout live in
+    one place.
 
     The toolchain deliberately has no JSON dependency. *)
 
@@ -47,8 +47,8 @@ val to_string : t -> string
     [Fixed], which JSON cannot express, prints as [null]. *)
 
 val document : t -> string
-(** The one document layout of the [--json] reports and
-    [BENCH_compile.json], newline-terminated:
+(** The one document layout of the [--json] reports,
+    newline-terminated:
 {v
 {
   "schema_version": 3,
@@ -65,10 +65,3 @@ v}
     except that a list-valued field prints one compact element per line
     (and an empty list still takes two lines).  Any other value prints
     compactly. *)
-
-val path : string list -> t -> t option
-(** [path keys v] follows object fields [keys] from [v]; [None] when a
-    key is missing or a step is not an object. *)
-
-val number : t -> float option
-(** The value of an [Int], [Float], [Fixed] or [Int64]. *)

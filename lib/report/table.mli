@@ -1,4 +1,4 @@
-(** Plain-text tables for the benchmark harness: one per reproduced
+(** Plain-text tables for the experiment drivers: one per reproduced
     figure/table, with aligned columns and an optional stacked-bar
     rendering for the paper's bar charts. *)
 
