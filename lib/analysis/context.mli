@@ -25,14 +25,25 @@
     unrolled loop and its chains and taking the profile from the profile
     memo.  A compile publishes its candidates only when every loop of
     the benchmark is done, so a compile its deadline cancels leaves none
-    behind; a shared candidate costs no work unit.  The profile and
-    candidate memos stay out of {!memo_stats}.  One context can be
-    shared by all worker domains of the parallel experiment engine.
+    behind; a shared candidate costs no work unit.  A sixth, the
+    simulation memo, simulates each cell once: its key is the compile
+    key ({!cache_key}), the cell's arch, its own config's
+    {!Vliw_arch.Config.fingerprint} when it has one, its AB override,
+    its hints flag and the trip cap — everything a cell's results
+    depend on — and it holds each cell's per-loop statistics and
+    traffic summary ({!run_batch_loops}).  Its values are shared, so
+    every caller must treat those statistics as read-only.  A batch
+    publishes its cells only once it is done, so one that its deadline
+    cancels leaves none behind; a memoized cell charges no ["simulate"]
+    work unit.  The profile, candidate and simulation memos stay out of
+    {!memo_stats}.  One context can be shared by all worker domains of
+    the parallel experiment engine.
 
     Every memo is bounded (FIFO eviction; see {!Vliw_parallel.Memo}) so
     fleet-scale sweeps cannot grow memory without bound: 1024 compile
-    entries, 8192 traces, 1024 certifications, 4096 profiles and 8192
-    candidates, far above any single figure's working set.  Eviction only costs a
+    entries, 8192 traces, 1024 certifications, 4096 profiles, 8192
+    candidates and 8192 simulated cells, far above any single figure's
+    working set.  Eviction only costs a
     recompute, never a result.
 
     Every simulation goes through {!run_batch_loops}: the executor
@@ -153,7 +164,11 @@ val run_batch_loops :
     loop, the statistics of every cell, and each cell's traffic counters
     ({!Vliw_sim.Machine.traffic_summary}) after the last loop, both in
     cell order — each bit-identical to the same cell run as a one-cell
-    batch.  Each call looks the compile up in the memo once.
+    batch.  Each call looks the compile up in the memo once.  A cell
+    the context has already simulated (or that the list repeats) is
+    read back from the simulation memo, and the others, each once, run
+    as one batch; the returned statistics may be shared with other
+    callers, so they must not be mutated.
 
     @raise Invalid_argument if a cell's full configuration fails
     {!Vliw_arch.Config.validate} or disagrees with the context's on

@@ -8,11 +8,12 @@ type axis = Interleaving | Clusters
 
 let arch = Vliw_sim.Machine.Word_interleaved { attraction_buffers = true }
 
-let table axis ~seed =
+let table axis ctx =
+  let base = Context.cfg ctx in
   let configure, column, title, note =
     match axis with
     | Interleaving ->
-        ( (fun i -> { Config.default with Config.interleaving_factor = i }),
+        ( (fun i -> { base with Config.interleaving_factor = i }),
           Printf.sprintf "I=%dB",
           "Interleaving-factor sweep",
           (* read off the rows: the benchmarks no wider factor beats *)
@@ -25,7 +26,7 @@ let table axis ~seed =
                      else None)
                    rows) )
     | Clusters ->
-        ( (fun n -> { Config.default with Config.n_clusters = n }),
+        ( (fun n -> { base with Config.n_clusters = n }),
           Printf.sprintf "%d clusters",
           "Cluster-count sweep",
           fun _ ->
@@ -40,7 +41,7 @@ let table axis ~seed =
         (match Config.validate cfg with
         | Ok () -> ()
         | Error e -> invalid_arg e);
-        Context.create ~cfg ~seed ())
+        Context.with_cfg ctx cfg)
       values
   in
   let rows =
@@ -61,6 +62,6 @@ let table axis ~seed =
     ~title:(title ^ ": total cycles, IPBC + Attraction Buffers")
     ~note ~columns:(List.map column values) rows
 
-let run axis ppf _ctx =
-  Table.render ~precision:0 ppf (table axis ~seed:7);
+let run axis ppf ctx =
+  Table.render ~precision:0 ppf (table axis ctx);
   Format.pp_print_newline ppf ()

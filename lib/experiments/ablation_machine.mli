@@ -1,8 +1,10 @@
 (** The machine-shape sweeps: total cycles over the suite, IPBC with a
-    word-interleaved cache and Attraction Buffers, on fresh contexts per
-    machine (the configuration changes, so nothing is shared).  Every
-    other Table-2 parameter, total L1 capacity and bus counts included,
-    stays put.
+    word-interleaved cache and Attraction Buffers, on {!Context.with_cfg}
+    siblings of the caller's context: each machine is the context's
+    configuration with one parameter changed, at the context's seed, and
+    shares its memos (the machine equal to the context's own reuses
+    what the figures compiled and simulated).  Every other Table-2
+    parameter, total L1 capacity and bus counts included, stays put.
 
     - {!Interleaving} — Section 5.1's discussion: the interleaving
       factor should match the dominant access size ("if a processor is
@@ -15,6 +17,6 @@
 
 type axis = Interleaving | Clusters
 
-val table : axis -> seed:int -> Vliw_report.Table.t
+val table : axis -> Context.t -> Vliw_report.Table.t
 
 val run : axis -> Format.formatter -> Context.t -> unit

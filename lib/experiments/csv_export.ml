@@ -34,8 +34,8 @@ let all_tables ctx =
   @ [ Fig7.table ctx ]
   @ Fig8.tables ctx
   @ [
-      Ablation_machine.table Interleaving ~seed:7;
-      Ablation_machine.table Clusters ~seed:7;
+      Ablation_machine.table Interleaving ctx;
+      Ablation_machine.table Clusters ctx;
     ]
 
 let write_table ~dir t =

@@ -6,7 +6,15 @@ type cycle = { c_ops : int array; c_fixed : int; c_dist : int }
 
 (* A captured recurrence: node ids remapped to a dense [0, n) range and
    the induced edges stored flat, with scratch arrays reused by every
-   longest-path run (latency assignment makes hundreds per solver). *)
+   longest-path run (latency assignment makes hundreds per solver).
+
+   The edges are stored by a topological order of their sources over
+   the distance-0 edges ([topological]), so one relaxation pass settles
+   every distance-0 chain: on the suite a run averages about two rounds
+   where the DDG's listing order took about six.  The order changes no
+   answer: Bellman–Ford's fixpoint does not depend on it, and [solve]
+   and [solve_feasible] are exact.  Only which witness cycles a run
+   meets, and so how many runs a climb takes, may differ. *)
 type solver = {
   n : int;
   nodes : int array;  (** dense index -> original id *)
@@ -27,6 +35,70 @@ type solver = {
 
 let max_witnesses = 16
 
+(* The recurrence's edges ordered by a topological order of their
+   sources over the distance-0 edges (Kahn's algorithm on adjacency
+   lists of the edges by source, O(n + m)), or as gathered when the
+   distance-0 edges close a cycle.  [index] maps an original id to its
+   dense one. *)
+let topological ~index ~n edges =
+  let m = Array.length edges in
+  if m = 0 then edges
+  else begin
+    let start = Array.make (n + 1) 0 and indeg = Array.make n 0 in
+    Array.iter
+      (fun (e : Edge.t) ->
+        let u = index.(e.src) + 1 in
+        start.(u) <- start.(u) + 1;
+        if e.distance = 0 then
+          indeg.(index.(e.dst)) <- indeg.(index.(e.dst)) + 1)
+      edges;
+    for v = 1 to n do
+      start.(v) <- start.(v) + start.(v - 1)
+    done;
+    let out = Array.make m edges.(0) and next = Array.sub start 0 n in
+    Array.iter
+      (fun (e : Edge.t) ->
+        let u = index.(e.src) in
+        out.(next.(u)) <- e;
+        next.(u) <- next.(u) + 1)
+      edges;
+    (* [order.(0 .. !tail - 1)] is both Kahn's queue and its result *)
+    let order = Array.make n 0 and head = ref 0 and tail = ref 0 in
+    for v = 0 to n - 1 do
+      if indeg.(v) = 0 then begin
+        order.(!tail) <- v;
+        incr tail
+      end
+    done;
+    while !head < !tail do
+      let u = order.(!head) in
+      incr head;
+      for k = start.(u) to start.(u + 1) - 1 do
+        let e = out.(k) in
+        if e.distance = 0 then begin
+          let w = index.(e.dst) in
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then begin
+            order.(!tail) <- w;
+            incr tail
+          end
+        end
+      done
+    done;
+    if !tail < n then edges
+    else begin
+      let sorted = Array.make m edges.(0) and j = ref 0 in
+      Array.iter
+        (fun u ->
+          for k = start.(u) to start.(u + 1) - 1 do
+            sorted.(!j) <- out.(k);
+            incr j
+          done)
+        order;
+      sorted
+    end
+  end
+
 let solver ddg ~nodes =
   let node_arr = Array.of_list nodes in
   let n = Array.length node_arr in
@@ -34,30 +106,27 @@ let solver ddg ~nodes =
   let index = Array.make (Ddg.n_ops ddg) (-1) in
   Array.iteri (fun i v -> index.(v) <- i) node_arr;
   let inside (e : Edge.t) = index.(e.src) >= 0 && index.(e.dst) >= 0 in
-  let m =
-    List.fold_left (fun m e -> if inside e then m + 1 else m) 0 (Ddg.edges ddg)
+  let edges =
+    topological ~index ~n (Array.of_list (List.filter inside (Ddg.edges ddg)))
   in
+  let m = Array.length edges in
   let srcs = Array.make m 0
   and dsts = Array.make m 0
   and lat_ops = Array.make m (-1)
   and fixed = Array.make m 0
   and dists = Array.make m 0 in
-  let i = ref 0 in
-  List.iter
-    (fun (e : Edge.t) ->
-      if inside e then begin
-        srcs.(!i) <- index.(e.src);
-        dsts.(!i) <- index.(e.dst);
-        dists.(!i) <- e.distance;
-        (match e.kind with
-        | Edge.Reg_flow -> lat_ops.(!i) <- e.src
-        | Edge.Reg_anti -> fixed.(!i) <- 0
-        | Edge.Reg_out | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out
-        | Edge.Mem_unresolved ->
-            fixed.(!i) <- 1);
-        incr i
-      end)
-    (Ddg.edges ddg);
+  Array.iteri
+    (fun i (e : Edge.t) ->
+      srcs.(i) <- index.(e.src);
+      dsts.(i) <- index.(e.dst);
+      dists.(i) <- e.distance;
+      match e.kind with
+      | Edge.Reg_flow -> lat_ops.(i) <- e.src
+      | Edge.Reg_anti -> fixed.(i) <- 0
+      | Edge.Reg_out | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out
+      | Edge.Mem_unresolved ->
+          fixed.(i) <- 1)
+    edges;
   let scratch () = Array.make (max 1 n) 0 in
   { n; nodes = node_arr; srcs; dsts; lat_ops; fixed; dists;
     dist = scratch (); pred = scratch (); mark = scratch (); witnesses = [] }

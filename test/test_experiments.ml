@@ -418,3 +418,89 @@ let suite =
     ("context: a cancelled compile publishes no candidate", `Quick,
      test_cancelled_compile_publishes_nothing);
   ]
+
+(* [f ()] under a deadline too large to trip, and the work units it
+   charged. *)
+let charged f =
+  let budget = 1_000_000_000 in
+  Vliw_parallel.Cancel.with_token (Vliw_parallel.Cancel.create ~budget)
+    (fun () ->
+      let r = f () in
+      (r, budget - Option.get (Vliw_parallel.Cancel.remaining ())))
+
+(* Whether cell [j] of one batch's result and cell [j'] of another's
+   agree on every loop's statistics and on the traffic summary. *)
+let same_cell (loops, traffic) j (loops', traffic') j' =
+  List.length loops = List.length loops'
+  && List.for_all2
+       (fun (_, stats) (_, stats') ->
+         Stats.equal (List.nth stats j) (List.nth stats' j'))
+       loops loops'
+  && List.nth traffic j = List.nth traffic' j'
+
+(* The simulation memo's cells: an 8-entry buffer with and without the
+   compiler's hints (which change epicdec's stall), and no buffer. *)
+let memo_bench = bench "epicdec"
+let memo_spec = Context.interleaved `Ipbc
+let cell_a = Context.cell ~ab_entries:8 with_ab
+let cell_b = Context.cell ~ab_entries:8 ~hints:true with_ab
+let cell_c = Context.cell no_ab
+
+(* A cells batch on a fresh context whose compile is done, and the
+   simulation work units it charged. *)
+let fresh_batch cells =
+  let ctx = Context.create () in
+  ignore (Context.compiled ctx memo_bench memo_spec);
+  charged (fun () -> Context.run_batch_loops ctx memo_bench memo_spec cells)
+
+(* On one context, a cell an earlier batch simulated, or one that
+   appears twice in a batch, is simulated once, and every cell still
+   equals a one-cell batch on a fresh context.  The second batch
+   charges exactly what C alone costs: B is read back, so it charges no
+   simulate unit. *)
+let test_repeated_cell_simulated_once () =
+  let ctx = Context.create () in
+  let run cells = Context.run_batch_loops ctx memo_bench memo_spec cells in
+  let first = run [ cell_a; cell_b ] in
+  let second, units = charged (fun () -> run [ cell_b; cell_c; cell_b ]) in
+  let solo cl = fst (fresh_batch [ cl ]) in
+  let a = solo cell_a and b = solo cell_b and c = solo cell_c in
+  check cb "hints change the 8-entry cell" false (same_cell a 0 b 0);
+  check cb "first batch: A" true (same_cell first 0 a 0);
+  check cb "first batch: B" true (same_cell first 1 b 0);
+  check cb "second batch: B" true (same_cell second 0 b 0);
+  check cb "second batch: C" true (same_cell second 1 c 0);
+  check cb "second batch: B again" true (same_cell second 2 b 0);
+  check ci "only C is charged" (snd (fresh_batch [ cell_c ])) units
+
+(* A batch that its deadline cancels publishes none of its cells, so an
+   unbudgeted rerun does (and is charged) the whole work again and
+   equals a fresh context's batch. *)
+let test_cancelled_simulation_publishes_nothing () =
+  let cells = [ cell_a; cell_c ] in
+  let expected, full = fresh_batch cells in
+  let ctx = Context.create () in
+  ignore (Context.compiled ctx memo_bench memo_spec);
+  let token = Vliw_parallel.Cancel.create ~budget:(full / 2) in
+  (match
+     Vliw_parallel.Cancel.with_token token (fun () ->
+         Context.run_batch_loops ctx memo_bench memo_spec cells)
+   with
+  | _ -> Alcotest.fail "the deadline did not cancel the batch"
+  | exception Vliw_parallel.Cancel.Cancelled { stage; _ } ->
+      check Alcotest.string "cancelled while simulating" "simulate" stage);
+  let again, units =
+    charged (fun () -> Context.run_batch_loops ctx memo_bench memo_spec cells)
+  in
+  check ci "the rerun charges the whole batch" full units;
+  check cb "rerun: A" true (same_cell again 0 expected 0);
+  check cb "rerun: C" true (same_cell again 1 expected 1)
+
+let suite =
+  suite
+  @ [
+      ("context: a repeated cell is simulated once", `Quick,
+       test_repeated_cell_simulated_once);
+      ("context: a cancelled simulation publishes nothing", `Quick,
+       test_cancelled_simulation_publishes_nothing);
+    ]

@@ -129,14 +129,14 @@ let test_fig8_headline_ordering () =
     (List.for_all (fun (_, v) -> v >= 0.95) hs)
 
 let test_sweeps () =
-  let t = E.Ablation_machine.table Interleaving ~seed:7 in
+  let t = E.Ablation_machine.table Interleaving ctx in
   rows_ok t;
   let row name = List.assoc name (Table.rows t) in
   (match row "gsmdec" with
   | [ i2; _; i8 ] ->
       check cb "gsm prefers small interleaving over 8B" true (i2 < i8)
   | _ -> Alcotest.fail "unexpected row shape");
-  let t2 = E.Ablation_machine.table Clusters ~seed:7 in
+  let t2 = E.Ablation_machine.table Clusters ctx in
   rows_ok t2;
   match List.assoc "AMEAN" (Table.rows t2) with
   | [ c2; c4; _ ] -> check cb "4 clusters beat 2 on the mean" true (c4 < c2)

@@ -1309,3 +1309,49 @@ let suite =
       prop_engine_matches_spec;
       prop_latency_assign_matches_spec;
     ]
+
+(* The solver's edge order is its own choice: over random loops, their
+   unrolled copies and the complete graph, with and without a
+   zero-distance cycle (where the order falls back to the listing),
+   shuffling the DDG's edge list changes no II, no infeasibility and no
+   feasibility answer at the II or just below it. *)
+let prop_mii_ignores_edge_order =
+  make_test ~name:"RecMII ignores the DDG's edge order" (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let gen_int bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+      let g =
+        match seed mod 4 with
+        | 0 -> build_random_ddg rng
+        | 1 -> Unroll.ddg (build_random_ddg rng) ~factor:(1 lsl (1 + gen_int 4))
+        | 2 -> Mii_spec.complete_graph ()
+        | _ -> Mii_spec.complete_graph ~zero_cycle:true ()
+      in
+      let shuffled =
+        let a = Array.of_list (Ddg.edges g) in
+        for i = Array.length a - 1 downto 1 do
+          let j = gen_int i in
+          let e = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- e
+        done;
+        Ddg.make (Ddg.ops g) (Array.to_list a)
+      in
+      let lat = Array.init (Ddg.n_ops g) (fun _ -> gen_int 12) in
+      let latency i = lat.(i) in
+      List.for_all
+        (fun nodes ->
+          let s = Mii.solver g ~nodes and s' = Mii.solver shuffled ~nodes in
+          let solve s =
+            try Some (Mii.solve s ~latency) with Mii.Infeasible -> None
+          in
+          let ii = solve s in
+          let probe = match ii with Some ii -> ii | None -> 1 + gen_int 40 in
+          let feasible s =
+            List.map
+              (fun ii -> Mii.solve_feasible s ~latency ~ii)
+              [ probe; probe - 1 ]
+          in
+          ii = solve s' && feasible s = feasible s')
+        (Scc.recurrences g))
+
+let suite = suite @ [ prop_mii_ignores_edge_order ]
